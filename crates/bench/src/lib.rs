@@ -34,4 +34,4 @@ pub use executor::SweepExecutor;
 pub use harness::Harness;
 pub use prefix::{plan_units, prefix_share_enabled, SweepUnit};
 pub use serve_exec::ServeExecutor;
-pub use sweeps::{run_counts, run_counts_observed, run_counts_with, SweepCounts, SweepRequest};
+pub use sweeps::{run_counts, run_counts_observed, SweepCounts, SweepRequest};

@@ -85,31 +85,24 @@ pub fn by_name(name: &str) -> Option<Vec<SweepRequest>> {
 /// accumulated counts are bit-identical in both modes — only the wall
 /// clock moves.
 pub fn run_counts(h: &Harness, reqs: &[SweepRequest]) -> SweepCounts {
-    run_counts_with(h, reqs, &mut || false).expect("an unstoppable sweep always completes")
+    run_counts_observed(h, reqs, None, &mut || false)
+        .expect("an unstoppable sweep always completes")
 }
 
-/// [`run_counts`] with a stop check consulted before each execution unit
-/// (a single simulation or a whole warm-start prefix group — the
-/// boundaries where abandoning a sweep wastes no finished work).
+/// [`run_counts`] with a stop check and live telemetry.
 ///
-/// Returns `None` when `should_stop` fired: sweeps accumulate across
-/// simulations and have no mid-sweep snapshot, so a stopped sweep reports
-/// nothing rather than a misleading partial count.
-pub fn run_counts_with(
-    h: &Harness,
-    reqs: &[SweepRequest],
-    should_stop: &mut dyn FnMut() -> bool,
-) -> Option<SweepCounts> {
-    run_counts_observed(h, reqs, None, should_stop)
-}
-
-/// [`run_counts_with`] with live telemetry: after each execution unit the
-/// sweep's progress — finished simulations, finished units, accumulated
-/// simulated cycles — is published to `trace`'s progress cell, so a
-/// `/progress` poll of a long daemon sweep shows movement between units.
+/// `should_stop` is consulted before each execution unit (a single
+/// simulation or a whole warm-start prefix group — the boundaries where
+/// abandoning a sweep wastes no finished work). Returns `None` when it
+/// fired: sweeps accumulate across simulations and have no mid-sweep
+/// snapshot, so a stopped sweep reports nothing rather than a misleading
+/// partial count.
 ///
-/// Telemetry is observation only: the returned counts are byte-identical
-/// to [`run_counts_with`] with or without a handle.
+/// After each unit the sweep's progress — finished simulations, finished
+/// units, accumulated simulated cycles — is published to `trace`'s
+/// progress cell, so a `/progress` poll of a long daemon sweep shows
+/// movement between units. Telemetry is observation only: the returned
+/// counts are byte-identical with or without a handle.
 pub fn run_counts_observed(
     h: &Harness,
     reqs: &[SweepRequest],
@@ -183,11 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn run_counts_with_stops_between_units() {
+    fn run_counts_observed_stops_between_units() {
         let h = Harness::new();
         let reqs = vec![(Harness::dual(SharingLevel::Static).ideal_solo(), vec![6])];
         // A stop check that fires immediately runs nothing.
-        assert_eq!(run_counts_with(&h, &reqs, &mut || true), None);
+        assert_eq!(run_counts_observed(&h, &reqs, None, &mut || true), None);
     }
 
     #[test]

@@ -8,17 +8,17 @@
 
 use crate::arbiter::Arbiter;
 use crate::core_rt::CoreRt;
+use crate::dispatch_probe;
 use crate::memmap::PageTable;
 use crate::memory::{build_memory, MemorySystem};
 use crate::report::{CoreReport, LogEvent, LogKind, RunReport};
 use crate::stage::Stage;
-use crate::system::{ProbeMode, SystemConfig};
+use crate::system::SystemConfig;
 use mnpu_dram::{Completion, TRANSACTION_BYTES};
 use mnpu_mmu::{Mmu, WalkStep};
 use mnpu_model::Network;
-use mnpu_probe::{CoreState, Event, NullProbe, Phase, Probe, StatsProbe};
+use mnpu_probe::{CoreState, Event, NullProbe, Phase, Probe};
 use mnpu_systolic::WorkloadTrace;
-use mnpu_trace::FlightProbe;
 use std::collections::{BTreeMap, VecDeque};
 
 use mnpu_dram::MonotonicQueue;
@@ -62,9 +62,9 @@ impl RequestLog {
 /// An event-driven simulation of one multi-core NPU chip executing one
 /// workload per core.
 ///
-/// Most callers use [`Simulation::run_traces`] / [`Simulation::run_networks`],
+/// Most callers use [`Simulation::execute`] / [`Simulation::execute_networks`],
 /// which pick the probe from [`SystemConfig::probe`]; the struct itself is
-/// exposed for step-wise debugging. The state is `Send`, so whole
+/// exposed for step-wise driving. The state is `Send`, so whole
 /// simulations can be farmed out to worker threads (each simulation is
 /// still single-threaded and deterministic).
 ///
@@ -162,7 +162,7 @@ pub(crate) fn build_mmu(cfg: &SystemConfig, page_tables: &[PageTable]) -> Option
 impl Simulation<NullProbe> {
     /// Build an uninstrumented simulation of `cfg` executing `traces[c]` on
     /// core `c`. (This constructor always uses [`NullProbe`] regardless of
-    /// [`SystemConfig::probe`]; use [`Simulation::run_traces`] or
+    /// [`SystemConfig::probe`]; use [`Simulation::execute`] or
     /// [`Simulation::with_probe`] for instrumented runs.)
     ///
     /// # Panics
@@ -174,25 +174,17 @@ impl Simulation<NullProbe> {
     }
 
     /// Run `traces` to completion with the probe selected by
-    /// [`SystemConfig::probe`]: [`ProbeMode::None`] runs the zero-cost
-    /// [`NullProbe`] build, [`ProbeMode::Stats`] runs [`StatsProbe`] and
-    /// fills [`RunReport::stats`].
+    /// [`SystemConfig::probe`] (see [`crate::dispatch_probe`]): the
+    /// default [`crate::ProbeMode::None`] runs the zero-cost [`NullProbe`]
+    /// build, [`crate::ProbeMode::Stats`] fills [`RunReport::stats`].
     ///
-    /// This is the engine's canonical batch entry point. The
-    /// `mnpusim::RunRequest` facade routes here; the retired
-    /// `run_traces` / `run_networks` / `run_fleet` trio are shims over it.
+    /// This is the engine's canonical batch entry point.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Simulation::new`].
     pub fn execute(cfg: &SystemConfig, traces: &[WorkloadTrace]) -> RunReport {
-        match cfg.probe {
-            ProbeMode::None => Simulation::with_probe(cfg, traces, NullProbe).run(),
-            ProbeMode::Stats => Simulation::with_probe(cfg, traces, StatsProbe::default()).run(),
-            ProbeMode::Flight => {
-                Simulation::with_probe(cfg, traces, FlightProbe::<NullProbe>::default()).run()
-            }
-        }
+        dispatch_probe!(cfg.probe, P => Simulation::with_probe(cfg, traces, P::default()).run())
     }
 
     /// Convenience over [`Simulation::execute`]: generate traces for
@@ -212,12 +204,10 @@ impl Simulation<NullProbe> {
     /// `at`, snapshot, restore the snapshot into a *freshly built*
     /// simulation, and finish the run there.
     ///
-    /// Stepping a fresh simulation with [`Simulation::advance`]`(u64::MAX)`
-    /// until [`Advance::Drained`] performs exactly the same pump/advance
-    /// sequence as [`Simulation::run`], and restore reinstates every bit of
-    /// mutable state, so the returned report is byte-identical to
-    /// [`Simulation::execute`] for every `at` — the lockstep property the
-    /// validation suite fences.
+    /// [`Simulation::run`] is itself an [`Simulation::advance`] loop, and
+    /// restore reinstates every bit of mutable state, so the returned
+    /// report is byte-identical to [`Simulation::execute`] for every `at`
+    /// — the lockstep property the validation suite fences.
     ///
     /// # Panics
     ///
@@ -228,81 +218,15 @@ impl Simulation<NullProbe> {
         traces: &[WorkloadTrace],
         at: u64,
     ) -> RunReport {
-        fn drive<P: Probe>(sim: &mut Simulation<P>, stop_at: u64) {
-            while let Advance::CoreFinished { .. } = sim.advance(stop_at) {}
-        }
-        fn checkpointed<P: Probe>(
-            cfg: &SystemConfig,
-            traces: &[WorkloadTrace],
-            at: u64,
-        ) -> RunReport {
+        dispatch_probe!(cfg.probe, P => {
             let mut sim = Simulation::with_probe(cfg, traces, P::default());
-            drive(&mut sim, at);
+            while let Advance::CoreFinished { .. } = sim.advance(at) {}
             let snap = sim.snapshot();
             drop(sim);
             let mut resumed = Simulation::with_probe(cfg, traces, P::default());
             resumed.restore(&snap).expect("snapshot restores into its twin");
-            drive(&mut resumed, u64::MAX);
-            resumed.into_report()
-        }
-        match cfg.probe {
-            ProbeMode::None => checkpointed::<NullProbe>(cfg, traces, at),
-            ProbeMode::Stats => checkpointed::<StatsProbe>(cfg, traces, at),
-            ProbeMode::Flight => checkpointed::<FlightProbe<NullProbe>>(cfg, traces, at),
-        }
-    }
-
-    /// Run `traces` to completion with the probe selected by
-    /// [`SystemConfig::probe`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Simulation::new`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Simulation::execute or the mnpusim::RunRequest facade"
-    )]
-    pub fn run_traces(cfg: &SystemConfig, traces: &[WorkloadTrace]) -> RunReport {
-        Simulation::execute(cfg, traces)
-    }
-
-    /// Convenience: generate traces for `networks` with each core's
-    /// [`mnpu_systolic::ArchConfig`] and run to completion with the probe
-    /// selected by [`SystemConfig::probe`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Simulation::new`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Simulation::execute_networks or the mnpusim::RunRequest facade"
-    )]
-    pub fn run_networks(cfg: &SystemConfig, networks: &[Network]) -> RunReport {
-        Simulation::execute_networks(cfg, networks)
-    }
-
-    /// Run a fleet of independent chips (the paper's §4.6 system of
-    /// multiple multi-core NPUs): `assignments[i]` holds chip *i*'s
-    /// workloads, one per core. Chips share nothing, so each runs as its
-    /// own simulation; reports come back in chip order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any assignment's length differs from `cfg.cores`.
-    #[deprecated(since = "0.1.0", note = "use the mnpusim::RunRequest facade's fleet mode")]
-    pub fn run_fleet(cfg: &SystemConfig, assignments: &[Vec<Network>]) -> Vec<RunReport> {
-        assignments
-            .iter()
-            .map(|nets| {
-                assert_eq!(nets.len(), cfg.cores, "one network per core");
-                let traces: Vec<WorkloadTrace> = nets
-                    .iter()
-                    .zip(&cfg.arch)
-                    .map(|(n, a)| WorkloadTrace::generate(n, a))
-                    .collect();
-                Simulation::execute(cfg, &traces)
-            })
-            .collect()
+            resumed.run()
+        })
     }
 
     /// Build an uninstrumented simulation with every core vacant — the
@@ -403,22 +327,15 @@ impl<P: Probe> Simulation<P> {
         ((cycles as u128 * f).div_ceil(g)) as u64
     }
 
-    /// Run the simulation to completion and produce the report.
+    /// Run the simulation to completion and produce the report: an
+    /// [`Simulation::advance`] loop with no stop cycle, so a straight run
+    /// and a chunked or checkpointed one share the one event loop.
     ///
     /// # Panics
     ///
     /// Panics on deadlock (a bug) with a state dump.
     pub fn run(mut self) -> RunReport {
-        loop {
-            self.pump();
-            if self.cores.iter().all(CoreRt::finished) {
-                break;
-            }
-            match self.next_event() {
-                Some(t) => self.advance_now(t),
-                None => self.deadlock_panic(),
-            }
-        }
+        while self.advance(u64::MAX) != Advance::Drained {}
         self.report()
     }
 
@@ -524,12 +441,12 @@ impl<P: Probe> Simulation<P> {
     /// Step the simulation until a core finishes, the next event passes
     /// `stop_at`, or nothing is left to simulate.
     ///
-    /// This is the batch loop of [`Simulation::run`] cut at the scheduler's
-    /// decision points. Driving a fresh simulation with
-    /// `advance(u64::MAX)` until [`Advance::Drained`] performs *exactly*
-    /// the same pump/advance sequence as `run()` — finish notifications
-    /// only flip a bookkeeping bit — which is what keeps serve mode
-    /// byte-identical to batch mode when every job arrives at cycle 0.
+    /// This is the engine's one event loop: [`Simulation::run`] is
+    /// `advance(u64::MAX)` until [`Advance::Drained`], and chunked,
+    /// checkpointed and serve drivers cut the same loop at their own stop
+    /// cycles. Finish notifications only flip a bookkeeping bit, which is
+    /// what keeps serve mode byte-identical to batch mode when every job
+    /// arrives at cycle 0.
     ///
     /// # Panics
     ///

@@ -26,6 +26,40 @@ pub enum ProbeMode {
     Flight,
 }
 
+/// Evaluate `$body` with the type alias `$P` bound to the concrete probe
+/// a [`ProbeMode`] selects: [`ProbeMode::None`] → [`mnpu_probe::NullProbe`],
+/// [`ProbeMode::Stats`] → [`mnpu_probe::StatsProbe`],
+/// [`ProbeMode::Flight`] → [`mnpu_trace::FlightProbe`]`<NullProbe>`.
+///
+/// This is the one place that mapping is written; every driver that turns
+/// a configuration into a monomorphized simulation goes through it.
+///
+/// ```
+/// use mnpu_engine::{dispatch_probe, Probe, ProbeMode};
+///
+/// assert!(!dispatch_probe!(ProbeMode::None, P => P::ENABLED));
+/// assert!(dispatch_probe!(ProbeMode::Stats, P => P::ENABLED));
+/// ```
+#[macro_export]
+macro_rules! dispatch_probe {
+    ($mode:expr, $P:ident => $body:expr) => {
+        match $mode {
+            $crate::ProbeMode::None => {
+                type $P = $crate::NullProbe;
+                $body
+            }
+            $crate::ProbeMode::Stats => {
+                type $P = $crate::StatsProbe;
+                $body
+            }
+            $crate::ProbeMode::Flight => {
+                type $P = $crate::FlightProbe<$crate::NullProbe>;
+                $body
+            }
+        }
+    };
+}
+
 /// Why a [`SystemConfig`] failed validation. Produced by
 /// [`SystemConfig::validate`] and [`crate::SystemConfigBuilder::build`];
 /// the variants mirror the config surface so callers can match on the

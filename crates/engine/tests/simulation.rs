@@ -454,22 +454,6 @@ fn noc_runs_are_deterministic_and_complete_for_mixes() {
 }
 
 #[test]
-#[allow(deprecated)] // the retired shim must stay byte-identical to execute_networks
-fn fleet_of_chips_is_independent() {
-    let cfg = bench_cfg(2, SharingLevel::PlusDwt);
-    let a = vec![zoo::ncf(Scale::Bench), zoo::gpt2(Scale::Bench)];
-    let b = vec![zoo::gpt2(Scale::Bench), zoo::ncf(Scale::Bench)];
-    let fleet = Simulation::run_fleet(&cfg, &[a.clone(), b.clone()]);
-    assert_eq!(fleet.len(), 2);
-    // Each chip's result equals its standalone simulation.
-    let solo_a = Simulation::execute_networks(&cfg, &a);
-    assert_eq!(fleet[0].cores[0].cycles, solo_a.cores[0].cycles);
-    assert_eq!(fleet[0].cores[1].cycles, solo_a.cores[1].cycles);
-    // Swapped placement on chip b actually swaps the roles.
-    assert_eq!(fleet[1].cores[1].workload, "ncf");
-}
-
-#[test]
 fn ideal_solo_clears_all_partitioning() {
     let cfg = bench_cfg(2, SharingLevel::PlusDw).with_ptw_bounds(vec![1, 1], vec![3, 3]);
     let solo = cfg.ideal_solo();

@@ -7,7 +7,7 @@ use crate::arrival::arrivals;
 use crate::policy::Policy;
 use crate::report::{JobRecord, ServeReport};
 use mnpu_config::ScenarioSpec;
-use mnpu_engine::{Advance, Event, NullProbe, Probe, ProbeMode, Simulation, StatsProbe};
+use mnpu_engine::{Advance, Event, NullProbe, Probe, Simulation};
 use mnpu_model::zoo;
 use mnpu_snapshot::{fingerprint, Reader, SimSnapshot, SnapError, Writer, SNAPSHOT_VERSION};
 use mnpu_systolic::WorkloadTrace;
@@ -29,8 +29,8 @@ pub fn scenario_fingerprint(spec: &ScenarioSpec) -> u64 {
 /// Run `spec` to completion and return the serve report.
 ///
 /// The probe is chosen by the scenario's chip configuration exactly as in
-/// batch mode ([`ProbeMode::None`] = zero-cost, [`ProbeMode::Stats`] =
-/// counters plus job-lifetime spans in [`mnpu_engine::RunReport::stats`]).
+/// batch mode ([`mnpu_engine::dispatch_probe`]; `ProbeMode::Stats` adds
+/// job-lifetime spans to [`mnpu_engine::RunReport::stats`]).
 ///
 /// Scheduling is deterministic: arrivals are a pure function of the
 /// scenario ([`arrivals`]), ties are broken by declaration order, and the
@@ -43,24 +43,11 @@ pub fn scenario_fingerprint(spec: &ScenarioSpec) -> u64 {
 /// Panics if the chip configuration is invalid or a simulation watchdog
 /// trips — never on any well-formed scenario.
 pub fn serve(spec: &ScenarioSpec) -> ServeReport {
-    match spec.system.probe {
-        ProbeMode::None => {
-            let mut s = ServeSession::with_probe(spec, NullProbe);
-            s.run();
-            s.into_report()
-        }
-        ProbeMode::Stats => {
-            let mut s = ServeSession::with_probe(spec, StatsProbe::default());
-            s.run();
-            s.into_report()
-        }
-        ProbeMode::Flight => {
-            let mut s =
-                ServeSession::with_probe(spec, mnpu_engine::FlightProbe::<NullProbe>::default());
-            s.run();
-            s.into_report()
-        }
-    }
+    mnpu_engine::dispatch_probe!(spec.system.probe, P => {
+        let mut s = ServeSession::with_probe(spec, P::default());
+        s.run();
+        s.into_report()
+    })
 }
 
 /// A serve checkpoint: the engine's [`SimSnapshot`] plus the scheduler's
@@ -485,7 +472,7 @@ mod tests {
     #[test]
     fn stats_probe_records_job_lifecycle() {
         let mut spec = parse_scenario("t", "cores = 1\njob = ncf\njob = ncf\n").unwrap();
-        spec.system.probe = ProbeMode::Stats;
+        spec.system.probe = mnpu_engine::ProbeMode::Stats;
         let r = serve(&spec);
         let stats = r.run.stats.as_ref().expect("stats probe requested");
         assert_eq!(stats.jobs.len(), 2, "one JobSpan per job");

@@ -10,10 +10,9 @@
 //! error message.
 
 use mnpu_probe::{JobPhase, JobTimeline};
+use mnpu_snapshot::json;
 use mnpu_trace::TraceHandle;
 use std::collections::HashMap;
-
-use crate::json;
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,7 +277,7 @@ mod tests {
         assert!(s.contains("\"at_ms\":3"));
         assert_eq!(job.elapsed_ms(), 6);
         // The status document is itself valid JSON.
-        assert!(crate::json::parse(&s).is_ok());
+        assert!(json::parse(&s).is_ok());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! The load-bearing invariant is inherited from the snapshot subsystem:
 //! **stopping never changes the answer**. Cancellation, wall-clock budgets
 //! and the SIGTERM drain all stop jobs at bit-exact checkpoint boundaries
-//! ([`Runner::run_controlled`](mnpusim::Runner::run_controlled)), so no
+//! ([`Runner::run_with`](mnpusim::Runner::run_with)), so no
 //! accepted work is ever silently lost — it either finishes, or comes back
 //! as a checkpoint that finishes later with identical bytes.
 
@@ -38,7 +38,6 @@
 
 pub mod http;
 pub mod jobs;
-pub mod json;
 pub mod queue;
 pub mod server;
 pub mod signal;

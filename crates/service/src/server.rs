@@ -10,9 +10,9 @@
 //! lock-ordering to get wrong.
 //!
 //! Execution reuses the rest of the workspace rather than reimplementing
-//! it: facade jobs run through [`mnpusim::Runner::run_controlled`] /
-//! [`mnpusim::Runner::resume`] (so cancellation, budgets and drain all stop at
-//! bit-exact checkpoint boundaries), and sweep jobs run through the shared
+//! it: facade jobs run through [`mnpusim::Runner::run_with`] (so
+//! cancellation, budgets and drain all stop at bit-exact checkpoint
+//! boundaries), and sweep jobs run through the shared
 //! bench [`Harness`] (so a daemon-run sweep accumulates exactly the counts
 //! `mnpu_hotpath` prints, warm-start prefix sharing included).
 
@@ -28,12 +28,12 @@ use std::time::{Duration, Instant};
 use mnpu_bench::{sweeps, Harness};
 use mnpu_metrics::{prom, ServiceStats};
 use mnpu_probe::JobPhase;
+use mnpu_snapshot::json;
 use mnpu_trace::TraceHandle;
-use mnpusim::{RunControl, RunObservation, RunOutcome, RunProgress};
+use mnpusim::{RunControl, RunOutcome, RunProgress};
 
 use crate::http::{self, Request};
 use crate::jobs::{JobState, JobTable};
-use crate::json;
 use crate::queue::{Admission, AdmissionQueue};
 use crate::wire::{self, ExecPlan};
 
@@ -384,7 +384,7 @@ fn execute(
         catch_unwind(AssertUnwindSafe(|| match job.plan {
             ExecPlan::Facade(runner, from) => {
                 let mut polls = 0u64;
-                let mut poll = |_obs: RunObservation| {
+                let mut poll = || {
                     polls += 1;
                     if fault && polls > 2 {
                         panic!("induced fault: panic");
@@ -398,17 +398,12 @@ fn execute(
                         RunControl::Continue
                     }
                 };
-                let progress = match from {
-                    Some(ckpt) => match runner.resume_observed(ckpt, Some(trace), &mut poll) {
-                        Ok(p) => p,
-                        Err(e) => return ExecOutcome::Error(format!("resume failed: {e:?}")),
-                    },
-                    None => runner.run_observed(Some(trace), &mut poll),
-                };
-                match progress {
-                    RunProgress::Done(outcome) => ExecOutcome::Completed(render_outcome(outcome)),
-                    RunProgress::Checkpointed(c) => ExecOutcome::Stopped(Some(c.to_json())),
-                    RunProgress::Stopped => ExecOutcome::Stopped(None),
+                match runner.run_with(from, Some(trace), &mut poll) {
+                    Ok(RunProgress::Done(outcome)) => {
+                        ExecOutcome::Completed(render_outcome(outcome))
+                    }
+                    Ok(RunProgress::Checkpointed(c)) => ExecOutcome::Stopped(Some(c.to_json())),
+                    Err(e) => ExecOutcome::Error(format!("resume failed: {e:?}")),
                 }
             }
             ExecPlan::Sweep(name) => {
@@ -453,10 +448,6 @@ fn render_outcome(outcome: RunOutcome) -> String {
     match outcome {
         RunOutcome::Batch(r) => r.to_json(),
         RunOutcome::Serve(s) => s.to_json(),
-        RunOutcome::Fleet(rs) => {
-            let inner: Vec<String> = rs.iter().map(|r| r.to_json()).collect();
-            format!("{{\"fleet\":[{}]}}", inner.join(","))
-        }
     }
 }
 

@@ -18,10 +18,10 @@
 //! status and a one-line machine-readable message — the error contract
 //! the HTTP error-path tests pin down.
 
-use crate::json::{self, Value};
 use mnpu_config::parse_scenario;
 use mnpu_engine::{ProbeMode, SharingLevel, SnapError, SystemConfig};
 use mnpu_model::{zoo, Scale};
+use mnpu_snapshot::json::{self, Value};
 use mnpusim::{JobCheckpoint, RequestError, RunRequest, Runner};
 
 /// How a job will execute.
@@ -157,15 +157,7 @@ pub fn parse_job(body: &str) -> Result<WireJob, WireError> {
             _ => return Err(field_err("'fault' must be \"panic\"")),
         },
     };
-    let resume = match v.get("resume") {
-        None => None,
-        Some(r) => {
-            // Round-trip through text: `JobCheckpoint::from_json` owns the
-            // validation (format marker, version, payload integrity).
-            let text = render_value(r);
-            Some(JobCheckpoint::from_json(&text)?)
-        }
-    };
+    let resume = v.get("resume").map(JobCheckpoint::from_value).transpose()?;
 
     let plan = match kind {
         "networks" => {
@@ -246,35 +238,6 @@ pub fn parse_job(body: &str) -> Result<WireJob, WireError> {
     Ok(WireJob { plan, budget_ms, resumed, fault })
 }
 
-/// Render a parsed [`Value`] back to canonical JSON text (used to hand the
-/// `resume` object to [`JobCheckpoint::from_json`], which owns its own
-/// framing validation).
-fn render_value(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        Value::Str(s) => format!("\"{}\"", json::escape(s)),
-        Value::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render_value).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Value::Obj(m) => {
-            let inner: Vec<String> = m
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{}", json::escape(k), render_value(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,6 +316,46 @@ mod tests {
         assert_eq!(err.status(), 409);
         assert!(matches!(err, WireError::Snapshot(SnapError::VersionMismatch { found: 999, .. })));
         assert!(err.message().contains("VersionMismatch"));
+    }
+
+    #[test]
+    fn resume_must_be_exactly_a_checkpoint_wrapper() {
+        let cfg = SystemConfig::bench(1, SharingLevel::Ideal);
+        let ckpt = RunRequest::networks(&cfg, vec![zoo::ncf(Scale::Bench)])
+            .build()
+            .unwrap()
+            .run_with(None, None, &mut || mnpusim::RunControl::Checkpoint)
+            .unwrap()
+            .checkpoint()
+            .to_json();
+        let body = |resume: &str| {
+            format!(
+                r#"{{"kind":"networks","cores":1,"sharing":"ideal","networks":["ncf"],
+                    "resume":{resume}}}"#
+            )
+        };
+        assert!(parse_job(&body(&ckpt)).unwrap().resumed);
+        // A checkpoint nested under another key is not a checkpoint.
+        let nested = parse_job(&body(&format!(r#"{{"a":{ckpt}}}"#))).unwrap_err();
+        assert!(matches!(nested, WireError::Snapshot(SnapError::BadJson(_))), "{nested:?}");
+        // Like the job body, the checkpoint object rejects unknown keys.
+        let extra = parse_job(&body(&ckpt.replacen('{', r#"{"extra":1,"#, 1))).unwrap_err();
+        assert!(matches!(extra, WireError::Snapshot(SnapError::BadJson(_))), "{extra:?}");
+        for err in [nested, extra] {
+            assert!((400..500).contains(&err.status()));
+        }
+    }
+
+    #[test]
+    fn integer_fields_are_exact() {
+        let body = |b: &str| format!(r#"{{"kind":"sweep","sweep":"tiny","budget_ms":{b}}}"#);
+        // 2^53 + 1 arrives as itself, not rounded through f64.
+        let job = parse_job(&body("9007199254740993")).unwrap();
+        assert_eq!(job.budget_ms, Some(9_007_199_254_740_993));
+        // 2^64 does not fit in u64: rejected, not saturated.
+        let err = parse_job(&body("18446744073709551616")).unwrap_err();
+        assert!(matches!(err, WireError::Field(ref m) if m.contains("budget_ms")), "{err:?}");
+        assert_eq!(err.status(), 400);
     }
 
     #[test]

@@ -124,7 +124,8 @@ fn resume_version_mismatch_is_409_not_a_worker_death() {
     let ckpt = mnpusim::RunRequest::networks(&cfg, nets)
         .build()
         .unwrap()
-        .run_controlled(&mut || mnpusim::RunControl::Checkpoint)
+        .run_with(None, None, &mut || mnpusim::RunControl::Checkpoint)
+        .unwrap()
         .checkpoint()
         .to_json();
     let body = format!(r#"{{"kind":"sweep","sweep":"tiny","resume":{ckpt}}}"#);

@@ -1,11 +1,12 @@
-//! A minimal JSON reader for the service wire format.
+//! The workspace's one JSON reader: the service wire format and the
+//! snapshot / job-checkpoint JSON wrappers all parse through it.
 //!
-//! The workspace is std-only, and the service's request bodies are small
-//! hand-authored objects, so a compact recursive-descent parser is the
-//! honest tool: full JSON value grammar, string escapes, a depth limit,
-//! and loud errors. It parses — it does not pretty-print; responses are
-//! assembled with `format!` like every other JSON emitter in the
-//! workspace.
+//! The workspace is std-only, and the documents it reads are small
+//! machine- or hand-authored objects, so a compact recursive-descent
+//! parser is the honest tool: full JSON value grammar, string escapes, a
+//! depth limit, and loud errors. It parses — it does not pretty-print;
+//! documents are assembled with `format!` like every other JSON emitter
+//! in the workspace.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,8 +18,9 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always carried as `f64`).
-    Num(f64),
+    /// Any JSON number, kept as its literal text so integers stay exact;
+    /// read it with [`Value::as_num`] or [`Value::as_u64`].
+    Num(String),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -37,20 +39,20 @@ impl Value {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (nearest `f64`).
     pub fn as_num(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(n) => n.parse().ok(),
             _ => None,
         }
     }
 
-    /// The numeric payload as a non-negative integer, if it is one.
+    /// The literal's exact value, if this is a number that is a
+    /// non-negative integer fitting in `u64` (`5`, `5.0` and `5e0` alike);
+    /// `None` otherwise — never a rounded or saturated value.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Value::Num(n) => exact_u64(n),
             _ => None,
         }
     }
@@ -300,12 +302,41 @@ impl<'t> Parser<'t> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number bytes are ASCII by construction");
-        text.parse::<f64>()
-            .ok()
-            .filter(|n| n.is_finite())
-            .map(Value::Num)
-            .ok_or_else(|| self.err("malformed number"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(text.to_string())),
+            _ => Err(self.err("malformed number")),
+        }
     }
+}
+
+/// The exact value of a number literal the parser accepted, when it is a
+/// non-negative integer that fits in `u64`: the digits are scaled by the
+/// exponent in integer arithmetic, so nothing is rounded through `f64`.
+fn exact_u64(lit: &str) -> Option<u64> {
+    let (negative, unsigned) = match lit.strip_prefix('-') {
+        Some(rest) => (true, rest),
+        None => (false, lit),
+    };
+    let (mantissa, exp) = match unsigned.split_once(['e', 'E']) {
+        Some((m, e)) => (m, e.parse::<i64>().ok()?),
+        None => (unsigned, 0),
+    };
+    let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+    let digits = format!("{int}{frac}");
+    let mut digits = digits.trim_start_matches('0');
+    if digits.is_empty() {
+        return Some(0);
+    }
+    if negative {
+        return None;
+    }
+    let mut exp = exp.checked_sub(i64::try_from(frac.len()).ok()?)?;
+    while exp < 0 {
+        digits = digits.strip_suffix('0')?;
+        exp += 1;
+    }
+    let scale = 10u64.checked_pow(u32::try_from(exp).ok()?)?;
+    digits.parse::<u64>().ok()?.checked_mul(scale)
 }
 
 /// The first UTF-8 scalar of `bytes`, as a str slice (bytes come from a
@@ -350,6 +381,29 @@ mod tests {
         assert_eq!(v.get("nets").and_then(Value::as_arr).map(|a| a.len()), Some(2));
         assert_eq!(v.get("deep").and_then(|d| d.get("x")), Some(&Value::Null));
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn integers_are_exact_or_absent() {
+        let u = |t: &str| parse(t).unwrap().as_u64();
+        // 2^53 + 1 has no f64 twin; it must not round to 2^53.
+        assert_eq!(u("9007199254740993"), Some(9_007_199_254_740_993));
+        assert_eq!(u("18446744073709551615"), Some(u64::MAX));
+        // 2^64 does not fit: absent, not saturated to u64::MAX.
+        assert_eq!(u("18446744073709551616"), None);
+        assert_eq!(u("1e20"), None);
+        // Integer-valued literals in any spelling keep their value.
+        assert_eq!(u("500"), Some(500));
+        assert_eq!(u("5.0"), Some(5));
+        assert_eq!(u("5e2"), Some(500));
+        assert_eq!(u("1.5e1"), Some(15));
+        assert_eq!(u("-0"), Some(0));
+        assert_eq!(u("0.000"), Some(0));
+        // Fractions and negatives are not u64s.
+        assert_eq!(u("1.5"), None);
+        assert_eq!(u("15e-1"), None);
+        assert_eq!(u("-1"), None);
+        assert_eq!(parse("\"1\"").unwrap().as_u64(), None);
     }
 
     #[test]

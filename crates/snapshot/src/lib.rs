@@ -19,7 +19,10 @@
 //! encodings: a compact binary framing ([`SimSnapshot::to_bytes`]) and a
 //! JSON wrapper with a hex payload ([`SimSnapshot::to_json`]) for
 //! artifact pipelines. The two round-trip losslessly:
-//! `from_json(to_json(s)) == s == from_bytes(to_bytes(s))`.
+//! `from_json(to_json(s)) == s == from_bytes(to_bytes(s))`. The wrapper
+//! framing ([`to_json_wrapper`] / [`from_json_wrapper`]) and the JSON
+//! reader it is decoded with ([`json`]) are shared with every other
+//! checkpoint wrapper and wire format in the workspace.
 //!
 //! The header is versioned the same way the bench run cache is
 //! (`#mnpu-run-cache v5`): a snapshot whose [`SNAPSHOT_VERSION`] does not
@@ -29,6 +32,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
+
+use json::Value;
 use std::fmt;
 
 /// Current snapshot format version. Bump on any change to the payload
@@ -478,15 +484,8 @@ impl SimSnapshot {
     /// JSON wrapper with a hex payload — human-inspectable framing whose
     /// round-trip through [`SimSnapshot::from_json`] is byte-exact.
     pub fn to_json(&self) -> String {
-        let mut hex = String::with_capacity(self.payload.len() * 2);
-        for b in &self.payload {
-            hex.push_str(&format!("{b:02x}"));
-        }
-        format!(
-            "{{\"format\":\"mnpu-snapshot\",\"version\":{},\"config_fp\":\"{:016x}\",\
-             \"payload\":\"{hex}\"}}",
-            self.version, self.config_fp
-        )
+        let fp = format!("{:016x}", self.config_fp);
+        to_json_wrapper("mnpu-snapshot", self.version, ("config_fp", &fp), &self.payload)
     }
 
     /// Decode the JSON wrapper written by [`SimSnapshot::to_json`].
@@ -496,44 +495,81 @@ impl SimSnapshot {
     /// [`SnapError::BadJson`] on malformed wrappers and
     /// [`SnapError::VersionMismatch`] on a foreign format version.
     pub fn from_json(text: &str) -> Result<SimSnapshot, SnapError> {
-        fn field<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-            let start = text.find(&format!("\"{key}\":"))? + key.len() + 3;
-            let rest = &text[start..];
-            if let Some(stripped) = rest.strip_prefix('"') {
-                let end = stripped.find('"')?;
-                Some(&stripped[..end])
-            } else {
-                let end = rest.find([',', '}'])?;
-                Some(&rest[..end])
-            }
-        }
-        if field(text, "format") != Some("mnpu-snapshot") {
-            return Err(SnapError::BadJson("missing mnpu-snapshot format marker"));
-        }
-        let version: u32 = field(text, "version")
-            .and_then(|v| v.trim().parse().ok())
-            .ok_or(SnapError::BadJson("bad version field"))?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapError::VersionMismatch { found: version, expected: SNAPSHOT_VERSION });
-        }
-        let config_fp = u64::from_str_radix(
-            field(text, "config_fp").ok_or(SnapError::BadJson("missing config_fp"))?,
-            16,
-        )
-        .map_err(|_| SnapError::BadJson("bad config_fp hex"))?;
-        let hex = field(text, "payload").ok_or(SnapError::BadJson("missing payload"))?;
-        if hex.len() % 2 != 0 {
-            return Err(SnapError::BadJson("odd payload hex length"));
-        }
-        let mut payload = Vec::with_capacity(hex.len() / 2);
-        for pair in hex.as_bytes().chunks(2) {
-            let s = std::str::from_utf8(pair).map_err(|_| SnapError::BadJson("payload hex"))?;
-            payload.push(
-                u8::from_str_radix(s, 16).map_err(|_| SnapError::BadJson("payload hex digit"))?,
-            );
-        }
-        Ok(SimSnapshot { version, config_fp, payload })
+        let v = json::parse(text).map_err(|e| SnapError::BadJson(e.message))?;
+        let (fp, payload) = from_json_wrapper(&v, "mnpu-snapshot", "config_fp")?;
+        let config_fp =
+            u64::from_str_radix(fp, 16).map_err(|_| SnapError::BadJson("bad config_fp hex"))?;
+        Ok(SimSnapshot::new(config_fp, payload))
     }
+}
+
+/// Render the JSON wrapper every checkpoint encoding shares:
+/// `{"format":F,"version":V,"<key>":"<value>","payload":"<hex>"}`, with
+/// `payload` as lowercase hex. `value` is emitted verbatim, so it must not
+/// need JSON escaping.
+pub fn to_json_wrapper(
+    format: &str,
+    version: u32,
+    (key, value): (&str, &str),
+    payload: &[u8],
+) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut hex = String::with_capacity(payload.len() * 2);
+    for &b in payload {
+        hex.push(char::from(HEX[usize::from(b >> 4)]));
+        hex.push(char::from(HEX[usize::from(b & 0xf)]));
+    }
+    format!(
+        "{{\"format\":\"{format}\",\"version\":{version},\"{key}\":\"{value}\",\
+         \"payload\":\"{hex}\"}}"
+    )
+}
+
+/// Open a wrapper written by [`to_json_wrapper`]: `v` must be an object
+/// whose `format` is `format`, whose `version` is [`SNAPSHOT_VERSION`],
+/// and which holds the string fields `key` and `payload` (hex) — and
+/// nothing else. Returns `key`'s value and the decoded payload.
+///
+/// # Errors
+///
+/// [`SnapError::VersionMismatch`] on a foreign format version;
+/// [`SnapError::BadJson`] on any other deviation, an unknown field
+/// included.
+pub fn from_json_wrapper<'v>(
+    v: &'v Value,
+    format: &str,
+    key: &str,
+) -> Result<(&'v str, Vec<u8>), SnapError> {
+    let obj = v.as_obj().ok_or(SnapError::BadJson("wrapper is not a JSON object"))?;
+    if v.get("format").and_then(Value::as_str) != Some(format) {
+        return Err(SnapError::BadJson("missing or foreign format marker"));
+    }
+    let found = v
+        .get("version")
+        .and_then(Value::as_u64)
+        .and_then(|n| u32::try_from(n).ok())
+        .ok_or(SnapError::BadJson("bad version field"))?;
+    if found != SNAPSHOT_VERSION {
+        return Err(SnapError::VersionMismatch { found, expected: SNAPSHOT_VERSION });
+    }
+    if obj.keys().any(|k| !["format", "version", key, "payload"].contains(&k.as_str())) {
+        return Err(SnapError::BadJson("unknown field in wrapper"));
+    }
+    let value = v.get(key).and_then(Value::as_str).ok_or(SnapError::BadJson("missing field"))?;
+    let hex = v
+        .get("payload")
+        .and_then(Value::as_str)
+        .ok_or(SnapError::BadJson("missing payload"))?
+        .as_bytes();
+    if hex.len() % 2 != 0 {
+        return Err(SnapError::BadJson("odd payload hex length"));
+    }
+    let nibble = |c: u8| char::from(c).to_digit(16).ok_or(SnapError::BadJson("payload hex digit"));
+    let payload = hex
+        .chunks_exact(2)
+        .map(|pair| Ok((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
+        .collect::<Result<_, SnapError>>()?;
+    Ok((value, payload))
 }
 
 #[cfg(test)]
@@ -616,6 +652,29 @@ mod tests {
             SimSnapshot::from_json(&json),
             Err(SnapError::VersionMismatch { expected: SNAPSHOT_VERSION, .. })
         ));
+    }
+
+    #[test]
+    fn json_wrapper_accepts_only_its_own_shape() {
+        let json = SimSnapshot::new(0xab, vec![0, 0x7f, 0xff]).to_json();
+        assert_eq!(
+            json,
+            format!(
+                "{{\"format\":\"mnpu-snapshot\",\"version\":{SNAPSHOT_VERSION},\
+                 \"config_fp\":\"00000000000000ab\",\"payload\":\"007fff\"}}"
+            )
+        );
+        let bad = |text: &str| SimSnapshot::from_json(text).unwrap_err();
+        // A valid wrapper nested under another key is not a wrapper.
+        assert!(matches!(bad(&format!("{{\"a\":{json}}}")), SnapError::BadJson(_)));
+        // Neither is one with an extra field, one with a foreign marker, or
+        // one whose payload is not hex.
+        let extra = json.replacen('{', "{\"extra\":1,", 1);
+        assert_eq!(bad(&extra), SnapError::BadJson("unknown field in wrapper"));
+        assert!(matches!(bad(&json.replace("mnpu-snapshot", "other")), SnapError::BadJson(_)));
+        assert!(matches!(bad(&json.replace("007fff", "007fé")), SnapError::BadJson(_)));
+        assert!(matches!(bad(&json.replace("007fff", "+7ff")), SnapError::BadJson(_)));
+        assert!(matches!(bad("not json"), SnapError::BadJson(_)));
     }
 
     #[test]

@@ -50,12 +50,10 @@ fn main() {
     let (pred_score, matching) = best.expect("matchings exist");
 
     println!("\nrecommended pairing (predicted geomean speedup {pred_score:.3}):");
-    // The four recommended chips share nothing — validate them as a fleet.
-    let assignments: Vec<Vec<Network>> =
-        matching.iter().map(|&(p, q)| vec![nets[p].clone(), nets[q].clone()]).collect();
-    let reports = RunRequest::fleet(&chip, assignments).run().fleet();
+    // The four recommended chips share nothing, so each is its own run.
     let mut actual_speedups = Vec::new();
-    for (&(p, q), r) in matching.iter().zip(&reports) {
+    for &(p, q) in &matching {
+        let r = RunRequest::networks(&chip, vec![nets[p].clone(), nets[q].clone()]).run().batch();
         let sp = profiles[p].solo_cycles as f64 / r.cores[0].cycles as f64;
         let sq = profiles[q].solo_cycles as f64 / r.cores[1].cycles as f64;
         println!(

@@ -3,16 +3,17 @@
 //! long-lived service builds cancellation, wall-clock budgets and graceful
 //! drain out of.
 //!
-//! [`Runner::run`] is all-or-nothing. [`Runner::run_controlled`] drives
-//! the same canonical engine paths but consults a poll callback at every
-//! safe boundary (a parked chunk of a batch run, a scheduler decision
-//! point of a serve run); when the callback asks for a stop, the run is
+//! [`Runner::run_with`] is the facade's one drive; [`Runner::run`] is that
+//! drive with nothing to resume, nothing watching, and a callback that
+//! never stops. The drive consults its poll callback at every safe
+//! boundary (a parked chunk of a batch run, a scheduler decision point of
+//! a serve run); when the callback asks for a stop, the run is
 //! snapshotted into a [`JobCheckpoint`] instead of being thrown away, and
-//! [`Runner::resume`] finishes it — in the same process or, via
-//! [`JobCheckpoint::to_json`], any other one. The contract is the one that
-//! fenced the snapshot subsystem: *stopping never changes the answer*. A
-//! run completed across any number of checkpoint/resume round-trips emits
-//! a report byte-identical to the uninterrupted run.
+//! handing that checkpoint back to `run_with` finishes it — in the same
+//! process or, via [`JobCheckpoint::to_json`], any other one. The contract
+//! is the one that fenced the snapshot subsystem: *stopping never changes
+//! the answer*. A run completed across any number of checkpoint/resume
+//! round-trips emits a report byte-identical to the uninterrupted run.
 //!
 //! ```
 //! use mnpusim::prelude::*;
@@ -24,27 +25,23 @@
 //!
 //! // Stop at the first safe boundary, checkpoint, resume to completion.
 //! let runner = RunRequest::networks(&cfg, nets.clone()).build().unwrap();
-//! let progress = runner.run_controlled(&mut || RunControl::Checkpoint);
-//! let ckpt = match progress {
-//!     RunProgress::Checkpointed(c) => c,
-//!     _ => unreachable!("stopped at the first boundary"),
-//! };
+//! let stopped = runner.run_with(None, None, &mut || RunControl::Checkpoint).unwrap();
 //! let runner = RunRequest::networks(&cfg, nets).build().unwrap();
-//! let resumed = runner.resume(ckpt, &mut || RunControl::Continue).unwrap();
-//! match resumed {
-//!     RunProgress::Done(outcome) => {
-//!         assert_eq!(outcome.batch().to_json(), straight.to_json());
-//!     }
-//!     _ => unreachable!("no further stops requested"),
-//! }
+//! let resumed = runner
+//!     .run_with(Some(stopped.checkpoint()), None, &mut || RunControl::Continue)
+//!     .unwrap();
+//! assert_eq!(resumed.done().batch().to_json(), straight.to_json());
 //! ```
 
 use crate::run::{Payload, RunOutcome, Runner};
+use mnpu_config::ScenarioSpec;
 use mnpu_engine::{
-    Advance, FlightProbe, NullProbe, Probe, ProbeMode, RunReport, SimSnapshot, Simulation,
-    SnapError, SystemConfig, TraceHandle, SNAPSHOT_VERSION,
+    dispatch_probe, Advance, SimSnapshot, Simulation, SnapError, SystemConfig, TraceHandle,
+    SNAPSHOT_VERSION,
 };
-use mnpu_sched::{ServeReport, ServeSession, ServeSnapshot};
+use mnpu_sched::{ServeSession, ServeSnapshot};
+use mnpu_snapshot::json::Value;
+use mnpu_snapshot::{from_json_wrapper, to_json_wrapper};
 use mnpu_systolic::WorkloadTrace;
 
 /// Cycles a controlled batch run advances between two polls of the control
@@ -66,37 +63,14 @@ pub enum RunControl {
     Checkpoint,
 }
 
-/// What a controlled run reports *to* the control callback at each safe
-/// boundary — the driver-side half of live progress telemetry.
-///
-/// The engine clock is the only simulation-state fact a boundary exposes;
-/// everything wall-clock-flavoured (rates, stall attribution) is derived
-/// inside the [`TraceHandle`] so reports and checkpoints stay
-/// byte-identical whether or not anyone is watching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunObservation {
-    cycles: u64,
-}
-
-impl RunObservation {
-    /// Simulated cycles completed so far: the engine clock for batch and
-    /// serve runs, the summed cycles of finished chips for fleet runs.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-}
-
 /// How far a controlled run got.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunProgress {
     /// Ran to completion; the outcome is byte-identical to [`Runner::run`].
     Done(RunOutcome),
-    /// Stopped on request; resume with [`Runner::resume`] against the same
-    /// request.
+    /// Stopped on request; hand the checkpoint back to [`Runner::run_with`]
+    /// on a runner built from the same request to finish.
     Checkpointed(JobCheckpoint),
-    /// Stopped on request at a shape that cannot checkpoint (a fleet run
-    /// between chips): the work so far is discarded, nothing to resume.
-    Stopped,
 }
 
 /// The shape-tagged snapshot of a stopped run.
@@ -108,14 +82,14 @@ enum CkptPayload {
     Serve(ServeSnapshot),
 }
 
-/// A resumable checkpoint of a stopped run, produced by
-/// [`Runner::run_controlled`] and consumed by [`Runner::resume`].
+/// A resumable checkpoint of a stopped run, produced and consumed by
+/// [`Runner::run_with`].
 ///
 /// The checkpoint does not carry the workload itself — resuming requires
 /// re-presenting the same [`RunRequest`](crate::RunRequest), and the
 /// embedded snapshot's fingerprints (system configuration, per-core
 /// traces, scenario) verify the match. [`JobCheckpoint::to_json`] /
-/// [`JobCheckpoint::from_json`] give it a stable wire form, so a
+/// [`JobCheckpoint::from_value`] give it a stable wire form, so a
 /// checkpoint can cross process boundaries (the service hands it to
 /// clients and accepts it back on a resume request).
 #[derive(Debug, Clone, PartialEq)]
@@ -136,64 +110,32 @@ impl JobCheckpoint {
     }
 
     /// The wire form: a JSON object with a hex-encoded snapshot payload,
-    /// the same framing idiom as [`SimSnapshot::to_json`].
+    /// the same framing as [`SimSnapshot::to_json`].
     pub fn to_json(&self) -> String {
         let bytes = match &self.payload {
             CkptPayload::Batch(s) => s.to_bytes(),
             CkptPayload::Serve(s) => s.to_bytes(),
         };
-        let mut hex = String::with_capacity(bytes.len() * 2);
-        for b in &bytes {
-            hex.push_str(&format!("{b:02x}"));
-        }
-        format!(
-            "{{\"format\":\"mnpu-job-checkpoint\",\"version\":{},\"kind\":\"{}\",\
-             \"payload\":\"{hex}\"}}",
+        to_json_wrapper(
+            "mnpu-job-checkpoint",
             JOB_CHECKPOINT_VERSION,
-            self.kind()
+            ("kind", self.kind()),
+            &bytes,
         )
     }
 
-    /// Decode the wrapper written by [`JobCheckpoint::to_json`].
+    /// Decode the wrapper written by [`JobCheckpoint::to_json`], once
+    /// parsed with [`mnpu_snapshot::json::parse`] — a service hands over
+    /// the `resume` member of a request body as it stands.
     ///
     /// # Errors
     ///
-    /// [`SnapError::BadJson`] on a malformed wrapper,
-    /// [`SnapError::VersionMismatch`] on a foreign format version, and any
-    /// decode error from the embedded snapshot.
-    pub fn from_json(text: &str) -> Result<JobCheckpoint, SnapError> {
-        fn field<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-            let start = text.find(&format!("\"{key}\":"))? + key.len() + 3;
-            let rest = &text[start..];
-            if let Some(stripped) = rest.strip_prefix('"') {
-                let end = stripped.find('"')?;
-                Some(&stripped[..end])
-            } else {
-                let end = rest.find([',', '}'])?;
-                Some(&rest[..end])
-            }
-        }
-        if field(text, "format") != Some("mnpu-job-checkpoint") {
-            return Err(SnapError::BadJson("missing mnpu-job-checkpoint format marker"));
-        }
-        let version: u32 = field(text, "version")
-            .and_then(|v| v.trim().parse().ok())
-            .ok_or(SnapError::BadJson("bad version field"))?;
-        if version != JOB_CHECKPOINT_VERSION {
-            return Err(SnapError::VersionMismatch {
-                found: version,
-                expected: JOB_CHECKPOINT_VERSION,
-            });
-        }
-        let kind = field(text, "kind").ok_or(SnapError::BadJson("missing kind field"))?;
-        let hex = field(text, "payload").ok_or(SnapError::BadJson("missing payload field"))?;
-        if hex.len() % 2 != 0 {
-            return Err(SnapError::BadJson("odd-length payload hex"));
-        }
-        let bytes: Vec<u8> = (0..hex.len() / 2)
-            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16))
-            .collect::<Result<_, _>>()
-            .map_err(|_| SnapError::BadJson("bad payload hex"))?;
+    /// [`SnapError::BadJson`] on anything but the exact wrapper shape (a
+    /// wrapper nested under another key, or one with an extra field, is
+    /// rejected), [`SnapError::VersionMismatch`] on a foreign format
+    /// version, and any decode error from the embedded snapshot.
+    pub fn from_value(v: &Value) -> Result<JobCheckpoint, SnapError> {
+        let (kind, bytes) = from_json_wrapper(v, "mnpu-job-checkpoint", "kind")?;
         let payload = match kind {
             "batch" => CkptPayload::Batch(SimSnapshot::from_bytes(&bytes)?),
             "serve" => CkptPayload::Serve(ServeSnapshot::from_bytes(&bytes)?),
@@ -203,226 +145,151 @@ impl JobCheckpoint {
     }
 }
 
-/// Drive a batch simulation in [`POLL_CHUNK`]-cycle slices, consulting
-/// `poll` at every parked boundary. Chunked parking is the engine's own
-/// checkpoint mechanism ([`Simulation::advance`]), bit-exact against an
-/// unchunked run.
-fn drive_batch<P: Probe>(
-    cfg: &SystemConfig,
-    traces: &[WorkloadTrace],
-    from: Option<&SimSnapshot>,
-    poll: &mut dyn FnMut(RunObservation) -> RunControl,
-) -> Result<BatchProgress, SnapError> {
-    let mut sim = Simulation::with_probe(cfg, traces, P::default());
-    if let Some(snap) = from {
-        sim.restore(snap)?;
-    }
-    loop {
-        if poll(RunObservation { cycles: sim.now() }) == RunControl::Checkpoint {
-            return Ok(BatchProgress::Checkpointed(sim.snapshot()));
-        }
-        let stop = sim.now().saturating_add(POLL_CHUNK);
-        loop {
-            match sim.advance(stop) {
-                Advance::CoreFinished { .. } => {}
-                Advance::Parked => break,
-                Advance::Drained => return Ok(BatchProgress::Done(Box::new(sim.into_report()))),
-            }
-        }
-    }
-}
-
-enum BatchProgress {
-    Done(Box<RunReport>),
-    Checkpointed(SimSnapshot),
-}
-
-/// Drive a serve session one scheduler decision round at a time,
-/// consulting `poll` between rounds.
-fn drive_serve<P: Probe>(
-    spec: &mnpu_config::ScenarioSpec,
-    from: Option<ServeSnapshot>,
-    poll: &mut dyn FnMut(RunObservation) -> RunControl,
-) -> Result<ServeProgress, SnapError> {
-    let mut session = match from {
-        Some(snap) => ServeSession::restore_with_probe(spec, P::default(), snap)?,
-        None => ServeSession::with_probe(spec, P::default()),
-    };
-    loop {
-        if poll(RunObservation { cycles: session.now() }) == RunControl::Checkpoint {
-            return Ok(ServeProgress::Checkpointed(session.snapshot()));
-        }
-        if !session.step() {
-            return Ok(ServeProgress::Done(Box::new(session.into_report())));
-        }
-    }
-}
-
-enum ServeProgress {
-    Done(Box<ServeReport>),
-    Checkpointed(ServeSnapshot),
-}
-
 impl Runner {
-    /// Execute like [`Runner::run`], but consult `poll` at every safe
-    /// boundary; when it returns [`RunControl::Checkpoint`], stop and
-    /// return a [`JobCheckpoint`] (or [`RunProgress::Stopped`] for a fleet
-    /// run, which has no checkpointable state between chips).
+    /// Execute the request, consulting `poll` at every safe boundary — the
+    /// facade's one drive. [`Runner::run`] is this with no checkpoint, no
+    /// handle, and a callback that always continues.
     ///
-    /// With a callback that always continues, the result is
-    /// [`RunProgress::Done`] with an outcome byte-identical to
-    /// [`Runner::run`] — the chunked drive is the same bit-exact mechanism
-    /// [`Simulation::execute_checkpointed`] rests on. A `checkpoint_at`
-    /// cycle set on the request is ignored here (the callback *is* the
-    /// checkpoint trigger).
-    pub fn run_controlled(self, poll: &mut dyn FnMut() -> RunControl) -> RunProgress {
-        self.run_observed(None, &mut |_| poll())
-    }
-
-    /// Resume a run stopped by [`Runner::run_controlled`]. The runner must
-    /// be built from the same request that produced the checkpoint — the
-    /// snapshot's fingerprints enforce it.
+    /// * `from` resumes a run stopped earlier. The runner must be built
+    ///   from the request that produced the checkpoint; the snapshot's
+    ///   fingerprints enforce it.
+    /// * `trace`, when given, is installed as the driving thread's ambient
+    ///   sink (so a [`mnpu_engine::ProbeMode::Flight`] run's probes record
+    ///   into it), and the engine clock is published to its progress cell
+    ///   at every boundary before `poll` is consulted.
+    /// * `poll` returning [`RunControl::Checkpoint`] stops the run into
+    ///   [`RunProgress::Checkpointed`].
     ///
-    /// # Errors
+    /// Batch runs reach a boundary every 2^16 cycles, serve runs at every
+    /// scheduler decision round. Neither stopping nor watching changes the
+    /// answer: the report equals [`Runner::run`]'s byte for byte, and a
+    /// checkpoint's bytes are the same with or without a handle.
     ///
-    /// [`SnapError::BadValue`] when the checkpoint's shape does not match
-    /// the request shape, [`SnapError::ConfigMismatch`] /
-    /// [`SnapError::TraceMismatch`] when it was captured from a different
-    /// request, or any decode error from the snapshot payload.
-    pub fn resume(
-        self,
-        checkpoint: JobCheckpoint,
-        poll: &mut dyn FnMut() -> RunControl,
-    ) -> Result<RunProgress, SnapError> {
-        self.resume_observed(checkpoint, None, &mut |_| poll())
-    }
-
-    /// [`Runner::run_controlled`] with live telemetry: the callback
-    /// receives a [`RunObservation`] at every safe boundary, and when a
-    /// [`TraceHandle`] is given it is installed as the driving thread's
-    /// ambient sink (so a [`ProbeMode::Flight`] run's probes record into
-    /// it) and every boundary is published to its progress cell.
+    /// ```
+    /// use mnpusim::prelude::*;
+    /// use mnpusim::trace::TraceHandle;
+    /// use mnpusim::{zoo, Scale};
     ///
-    /// Telemetry is observation only: the returned progress — report
-    /// bytes, checkpoint bytes — is byte-identical to
-    /// [`Runner::run_controlled`] with or without a handle.
-    pub fn run_observed(
-        self,
-        trace: Option<&TraceHandle>,
-        poll: &mut dyn FnMut(RunObservation) -> RunControl,
-    ) -> RunProgress {
-        self.run_controlled_from(None, trace, poll).expect("a fresh run has no snapshot to reject")
-    }
-
-    /// [`Runner::resume`] with live telemetry; see [`Runner::run_observed`].
+    /// let cfg = SystemConfig::bench(2, SharingLevel::PlusDwt);
+    /// let nets = vec![zoo::ncf(Scale::Bench), zoo::gpt2(Scale::Bench)];
+    /// let trace = TraceHandle::new();
+    /// let progress = RunRequest::networks(&cfg, nets)
+    ///     .build()
+    ///     .unwrap()
+    ///     .run_with(None, Some(&trace), &mut || RunControl::Continue)
+    ///     .unwrap();
+    /// assert!(matches!(progress, RunProgress::Done(_)));
+    /// println!("{}", trace.progress().snapshot().to_json());
+    /// println!("{}", trace.dump_json("my-job"));
+    /// ```
     ///
     /// # Errors
     ///
-    /// As for [`Runner::resume`].
-    pub fn resume_observed(
-        self,
-        checkpoint: JobCheckpoint,
-        trace: Option<&TraceHandle>,
-        poll: &mut dyn FnMut(RunObservation) -> RunControl,
-    ) -> Result<RunProgress, SnapError> {
-        self.run_controlled_from(Some(checkpoint), trace, poll)
-    }
-
-    fn run_controlled_from(
+    /// Only when resuming: [`SnapError::BadValue`] when the checkpoint's
+    /// shape does not match the request shape,
+    /// [`SnapError::ConfigMismatch`] / [`SnapError::TraceMismatch`] when it
+    /// was captured from a different request, or any decode error from the
+    /// snapshot payload.
+    pub fn run_with(
         self,
         from: Option<JobCheckpoint>,
         trace: Option<&TraceHandle>,
-        poll: &mut dyn FnMut(RunObservation) -> RunControl,
+        poll: &mut dyn FnMut() -> RunControl,
     ) -> Result<RunProgress, SnapError> {
         // While a handle observes this run it doubles as the thread's
         // ambient probe sink, and every poll boundary updates its
         // progress cell before the caller decides whether to stop.
         let _guard = trace.map(mnpu_trace::install);
-        let mut poll = |obs: RunObservation| {
+        let mut poll = |cycles: u64| {
             if let Some(h) = trace {
-                h.publish_poll(obs.cycles());
+                h.publish_poll(cycles);
             }
-            poll(obs)
-        };
-        let poll: &mut dyn FnMut(RunObservation) -> RunControl = &mut poll;
-        let batch_from = |from: Option<JobCheckpoint>| match from {
-            None => Ok(None),
-            Some(JobCheckpoint { payload: CkptPayload::Batch(s) }) => Ok(Some(s)),
-            Some(_) => Err(SnapError::BadValue("serve checkpoint offered to a batch request")),
+            poll()
         };
         match self.request.payload {
-            Payload::Traces(cfg, traces) => batch(&cfg, &traces, batch_from(from)?.as_ref(), poll),
+            Payload::Traces(cfg, traces) => drive_batch(&cfg, &traces, from, &mut poll),
             Payload::Networks(cfg, nets) => {
                 let traces: Vec<WorkloadTrace> = nets
                     .iter()
                     .zip(&cfg.arch)
                     .map(|(n, a)| WorkloadTrace::generate(n, a))
                     .collect();
-                batch(&cfg, &traces, batch_from(from)?.as_ref(), poll)
+                drive_batch(&cfg, &traces, from, &mut poll)
             }
-            Payload::Fleet(cfg, assignments) => {
-                if from.is_some() {
-                    return Err(SnapError::BadValue("fleet runs cannot resume from a checkpoint"));
-                }
-                let mut reports = Vec::with_capacity(assignments.len());
-                let mut cycles = 0u64;
-                for nets in &assignments {
-                    if poll(RunObservation { cycles }) == RunControl::Checkpoint {
-                        return Ok(RunProgress::Stopped);
-                    }
-                    let report = Simulation::execute_networks(&cfg, nets);
-                    cycles = cycles.saturating_add(report.total_cycles);
-                    reports.push(report);
-                }
-                Ok(RunProgress::Done(RunOutcome::Fleet(reports)))
-            }
-            Payload::Serve(spec) => {
-                let serve_from = match from {
-                    None => None,
-                    Some(JobCheckpoint { payload: CkptPayload::Serve(s) }) => Some(s),
-                    Some(_) => {
-                        return Err(SnapError::BadValue(
-                            "batch checkpoint offered to a serve request",
-                        ))
-                    }
-                };
-                let progress = match spec.system.probe {
-                    ProbeMode::None => drive_serve::<NullProbe>(&spec, serve_from, poll)?,
-                    ProbeMode::Stats => {
-                        drive_serve::<mnpu_engine::StatsProbe>(&spec, serve_from, poll)?
-                    }
-                    ProbeMode::Flight => {
-                        drive_serve::<FlightProbe<NullProbe>>(&spec, serve_from, poll)?
-                    }
-                };
-                Ok(match progress {
-                    ServeProgress::Done(r) => RunProgress::Done(RunOutcome::Serve(r)),
-                    ServeProgress::Checkpointed(s) => {
-                        RunProgress::Checkpointed(JobCheckpoint { payload: CkptPayload::Serve(s) })
-                    }
-                })
-            }
+            Payload::Serve(spec) => drive_serve(&spec, from, &mut poll),
         }
     }
 }
 
-/// Per-probe-mode dispatch for the batch shapes (the same idiom as
-/// [`Simulation::execute_checkpointed`]).
-fn batch(
+/// Drive a batch simulation in [`POLL_CHUNK`]-cycle slices of
+/// [`Simulation::advance`], consulting `poll` with the engine clock at
+/// every parked boundary.
+fn drive_batch(
     cfg: &SystemConfig,
     traces: &[WorkloadTrace],
-    from: Option<&SimSnapshot>,
-    poll: &mut dyn FnMut(RunObservation) -> RunControl,
+    from: Option<JobCheckpoint>,
+    poll: &mut dyn FnMut(u64) -> RunControl,
 ) -> Result<RunProgress, SnapError> {
-    let progress = match cfg.probe {
-        ProbeMode::None => drive_batch::<NullProbe>(cfg, traces, from, poll)?,
-        ProbeMode::Stats => drive_batch::<mnpu_engine::StatsProbe>(cfg, traces, from, poll)?,
-        ProbeMode::Flight => drive_batch::<FlightProbe<NullProbe>>(cfg, traces, from, poll)?,
+    let from = match from.map(|c| c.payload) {
+        None => None,
+        Some(CkptPayload::Batch(s)) => Some(s),
+        Some(CkptPayload::Serve(_)) => {
+            return Err(SnapError::BadValue("serve checkpoint offered to a batch request"))
+        }
     };
-    Ok(match progress {
-        BatchProgress::Done(r) => RunProgress::Done(RunOutcome::Batch(r)),
-        BatchProgress::Checkpointed(s) => {
-            RunProgress::Checkpointed(JobCheckpoint { payload: CkptPayload::Batch(s) })
+    dispatch_probe!(cfg.probe, P => {
+        let mut sim = Simulation::with_probe(cfg, traces, P::default());
+        if let Some(snap) = &from {
+            sim.restore(snap)?;
+        }
+        loop {
+            if poll(sim.now()) == RunControl::Checkpoint {
+                let payload = CkptPayload::Batch(sim.snapshot());
+                return Ok(RunProgress::Checkpointed(JobCheckpoint { payload }));
+            }
+            let stop = sim.now().saturating_add(POLL_CHUNK);
+            loop {
+                match sim.advance(stop) {
+                    Advance::CoreFinished { .. } => {}
+                    Advance::Parked => break,
+                    Advance::Drained => {
+                        let report = Box::new(sim.into_report());
+                        return Ok(RunProgress::Done(RunOutcome::Batch(report)));
+                    }
+                }
+            }
+        }
+    })
+}
+
+/// Drive a serve session one scheduler decision round at a time,
+/// consulting `poll` with the engine clock between rounds.
+fn drive_serve(
+    spec: &ScenarioSpec,
+    from: Option<JobCheckpoint>,
+    poll: &mut dyn FnMut(u64) -> RunControl,
+) -> Result<RunProgress, SnapError> {
+    let from = match from.map(|c| c.payload) {
+        None => None,
+        Some(CkptPayload::Serve(s)) => Some(s),
+        Some(CkptPayload::Batch(_)) => {
+            return Err(SnapError::BadValue("batch checkpoint offered to a serve request"))
+        }
+    };
+    dispatch_probe!(spec.system.probe, P => {
+        let mut session = match from {
+            Some(snap) => ServeSession::restore_with_probe(spec, P::default(), snap)?,
+            None => ServeSession::with_probe(spec, P::default()),
+        };
+        loop {
+            if poll(session.now()) == RunControl::Checkpoint {
+                let payload = CkptPayload::Serve(session.snapshot());
+                return Ok(RunProgress::Checkpointed(JobCheckpoint { payload }));
+            }
+            if !session.step() {
+                let report = Box::new(session.into_report());
+                return Ok(RunProgress::Done(RunOutcome::Serve(report)));
+            }
         }
     })
 }
@@ -437,7 +304,6 @@ impl RunProgress {
         match self {
             RunProgress::Done(o) => o,
             RunProgress::Checkpointed(_) => panic!("expected a completed run, got a checkpoint"),
-            RunProgress::Stopped => panic!("expected a completed run, got a stop"),
         }
     }
 
@@ -450,7 +316,6 @@ impl RunProgress {
         match self {
             RunProgress::Checkpointed(c) => c,
             RunProgress::Done(_) => panic!("expected a checkpoint, but the run completed"),
-            RunProgress::Stopped => panic!("expected a checkpoint, got a bare stop"),
         }
     }
 }

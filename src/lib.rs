@@ -29,7 +29,7 @@
 //!
 //! # Quickstart
 //!
-//! Every run shape — batch, fleet, serve — goes through one builder, the
+//! Every run shape — batch or serve — goes through one builder, the
 //! [`RunRequest`] facade (see [`run`] and [`prelude`]):
 //!
 //! ```
@@ -66,7 +66,7 @@ pub use mnpu_predict as predict;
 pub use mnpu_sched as sched;
 pub use mnpu_systolic as systolic;
 
-pub use job::{JobCheckpoint, RunControl, RunObservation, RunProgress, JOB_CHECKPOINT_VERSION};
+pub use job::{JobCheckpoint, RunControl, RunProgress, JOB_CHECKPOINT_VERSION};
 pub use mnpu_trace as trace;
 pub use run::{RequestError, RunOutcome, RunRequest, Runner};
 

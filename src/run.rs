@@ -1,9 +1,7 @@
 //! The unified run facade: one builder for every way to run the simulator.
 //!
-//! Historically the workspace grew four overlapping entry points — the
-//! engine's `run_traces` / `run_networks` / `run_fleet` trio and the
-//! scheduling layer's [`mnpu_sched::serve`] — each with its own argument
-//! conventions. [`RunRequest`] collapses them into one builder:
+//! [`RunRequest`] describes a batch run (one trace or network per core) or
+//! a dynamic serve scenario, validates it into a [`Runner`], and runs it:
 //!
 //! ```
 //! use mnpusim::prelude::*;
@@ -15,20 +13,21 @@
 //! assert_eq!(report.cores.len(), 2);
 //! ```
 //!
-//! Every mode routes to the same canonical engine paths
-//! ([`Simulation::execute`] and friends), so a facade run is byte-identical
-//! to the entry point it replaced — `tests/facade.rs` fences that against
-//! the deprecated shims. [`RunRequest::checkpoint_at`] additionally routes
-//! batch runs through [`Simulation::execute_checkpointed`], which is
-//! likewise bit-exact for every checkpoint cycle.
+//! Every run — straight, controlled, observed or resumed — goes through
+//! the one chunked drive behind [`Runner::run_with`], which steps the
+//! engine's one event loop ([`mnpu_engine::Simulation::advance`]), so a
+//! facade run is byte-identical to [`mnpu_engine::Simulation::execute`]
+//! and [`mnpu_sched::serve`]; `tests/facade.rs` fences that under every
+//! probe mode.
 
+use crate::job::RunControl;
 use mnpu_config::ScenarioSpec;
-use mnpu_engine::{ConfigError, RunReport, Simulation, SystemConfig};
+use mnpu_engine::{ConfigError, RunReport, SystemConfig};
 use mnpu_model::Network;
 use mnpu_sched::ServeReport;
 use mnpu_systolic::WorkloadTrace;
 
-/// What to run: the four collapsed entry points.
+/// What to run: one variant per request shape.
 #[derive(Debug, Clone)]
 pub(crate) enum Payload {
     /// One pre-generated trace per core.
@@ -36,67 +35,43 @@ pub(crate) enum Payload {
     /// One network per core; traces are generated with each core's
     /// [`mnpu_systolic::ArchConfig`].
     Networks(SystemConfig, Vec<Network>),
-    /// A fleet of independent chips, each running one network per core.
-    Fleet(SystemConfig, Vec<Vec<Network>>),
     /// A dynamic multi-tenant serve scenario (arrivals + placement policy).
     Serve(Box<ScenarioSpec>),
 }
 
 /// A single description of a simulation run, whatever its shape.
 ///
-/// Build one with [`RunRequest::traces`], [`RunRequest::networks`],
-/// [`RunRequest::fleet`] or [`RunRequest::serve`], optionally add a
-/// checkpoint cycle, then either [`build`](RunRequest::build) a validated
-/// [`Runner`] or [`run`](RunRequest::run) directly.
+/// Build one with [`RunRequest::traces`], [`RunRequest::networks`] or
+/// [`RunRequest::serve`], then either [`build`](RunRequest::build) a
+/// validated [`Runner`] or [`run`](RunRequest::run) directly.
 #[derive(Debug, Clone)]
 pub struct RunRequest {
     pub(crate) payload: Payload,
-    checkpoint_at: Option<u64>,
 }
 
 impl RunRequest {
-    /// Run `traces[c]` on core `c` of `cfg` (replaces
-    /// `Simulation::run_traces`).
+    /// Run `traces[c]` on core `c` of `cfg`.
     pub fn traces(cfg: &SystemConfig, traces: impl Into<Vec<WorkloadTrace>>) -> Self {
-        RunRequest { payload: Payload::Traces(cfg.clone(), traces.into()), checkpoint_at: None }
+        RunRequest { payload: Payload::Traces(cfg.clone(), traces.into()) }
     }
 
     /// Run `networks[c]` on core `c` of `cfg`, generating each core's trace
-    /// from its [`mnpu_systolic::ArchConfig`] (replaces
-    /// `Simulation::run_networks`).
+    /// from its [`mnpu_systolic::ArchConfig`]. A fleet of independent chips
+    /// (the paper's §4.6 multi-chip system) is one such request per chip.
     pub fn networks(cfg: &SystemConfig, networks: impl Into<Vec<Network>>) -> Self {
-        RunRequest { payload: Payload::Networks(cfg.clone(), networks.into()), checkpoint_at: None }
-    }
-
-    /// Run a fleet of independent chips — `assignments[i]` holds chip *i*'s
-    /// networks, one per core (replaces `Simulation::run_fleet`). Chips
-    /// share nothing; reports come back in chip order.
-    pub fn fleet(cfg: &SystemConfig, assignments: impl Into<Vec<Vec<Network>>>) -> Self {
-        RunRequest { payload: Payload::Fleet(cfg.clone(), assignments.into()), checkpoint_at: None }
+        RunRequest { payload: Payload::Networks(cfg.clone(), networks.into()) }
     }
 
     /// Run a dynamic serve scenario — jobs arriving over time, placed by a
-    /// scheduling policy (replaces calling [`mnpu_sched::serve`] directly).
+    /// scheduling policy (the facade form of [`mnpu_sched::serve`]).
     pub fn serve(spec: ScenarioSpec) -> Self {
-        RunRequest { payload: Payload::Serve(Box::new(spec)), checkpoint_at: None }
-    }
-
-    /// Checkpoint the run at `cycle`: drive to `cycle`, snapshot, restore
-    /// into a freshly built simulation, and finish there (the
-    /// [`Simulation::execute_checkpointed`] path — bit-exact for every
-    /// `cycle`). Only meaningful for [`traces`](RunRequest::traces) and
-    /// [`networks`](RunRequest::networks) requests;
-    /// [`build`](RunRequest::build) rejects it on the other shapes.
-    pub fn checkpoint_at(mut self, cycle: u64) -> Self {
-        self.checkpoint_at = Some(cycle);
-        self
+        RunRequest { payload: Payload::Serve(Box::new(spec)) }
     }
 
     /// Validate the request into a [`Runner`].
     ///
     /// Checks the system configuration (via [`SystemConfig::validate`]) and
-    /// the request shape: workload counts must match the core count, and a
-    /// checkpoint cycle is only accepted on single-chip batch runs.
+    /// the request shape: workload counts must match the core count.
     pub fn build(self) -> Result<Runner, RequestError> {
         let shape = |expected: usize, got: usize, what: &'static str| {
             if expected == got {
@@ -114,21 +89,7 @@ impl RunRequest {
                 cfg.validate()?;
                 shape(cfg.cores, nets.len(), "networks")?;
             }
-            Payload::Fleet(cfg, assignments) => {
-                cfg.validate()?;
-                for chip in assignments {
-                    shape(cfg.cores, chip.len(), "fleet networks")?;
-                }
-                if self.checkpoint_at.is_some() {
-                    return Err(RequestError::Checkpoint { shape: "fleet" });
-                }
-            }
-            Payload::Serve(spec) => {
-                spec.system.validate()?;
-                if self.checkpoint_at.is_some() {
-                    return Err(RequestError::Checkpoint { shape: "serve" });
-                }
-            }
+            Payload::Serve(spec) => spec.system.validate()?,
         }
         Ok(Runner { request: self })
     }
@@ -156,18 +117,12 @@ pub enum RequestError {
     Config(ConfigError),
     /// A workload list's length disagrees with the core count.
     Shape {
-        /// Which list (`"traces"`, `"networks"`, `"fleet networks"`).
+        /// Which list (`"traces"` or `"networks"`).
         what: &'static str,
         /// The configured core count.
         expected: usize,
         /// The supplied length.
         got: usize,
-    },
-    /// [`RunRequest::checkpoint_at`] was set on a shape that does not
-    /// support it.
-    Checkpoint {
-        /// The offending request shape (`"fleet"` or `"serve"`).
-        shape: &'static str,
     },
 }
 
@@ -184,11 +139,6 @@ impl std::fmt::Display for RequestError {
             RequestError::Shape { what, expected, got } => {
                 write!(f, "{what}: expected one per core ({expected}), got {got}")
             }
-            RequestError::Checkpoint { shape } => write!(
-                f,
-                "checkpoint_at is only supported on single-chip batch runs, not {shape} \
-                 (serve runs checkpoint via mnpu_sched::ServeSession::snapshot)"
-            ),
         }
     }
 }
@@ -202,45 +152,23 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Execute the request on this thread and return its outcome.
+    /// Execute the request on this thread and return its outcome:
+    /// [`Runner::run_with`] from scratch, unobserved, never stopping.
     ///
     /// Deterministic: the same request always produces the same outcome,
-    /// byte for byte, regardless of shape-specific routing (straight
-    /// engine run, checkpointed run, fleet loop or serve session).
+    /// byte for byte.
     pub fn run(self) -> RunOutcome {
-        let at = self.request.checkpoint_at;
-        match self.request.payload {
-            Payload::Traces(cfg, traces) => RunOutcome::Batch(Box::new(match at {
-                Some(cycle) => Simulation::execute_checkpointed(&cfg, &traces, cycle),
-                None => Simulation::execute(&cfg, &traces),
-            })),
-            Payload::Networks(cfg, nets) => {
-                let traces: Vec<WorkloadTrace> = nets
-                    .iter()
-                    .zip(&cfg.arch)
-                    .map(|(n, a)| WorkloadTrace::generate(n, a))
-                    .collect();
-                RunOutcome::Batch(Box::new(match at {
-                    Some(cycle) => Simulation::execute_checkpointed(&cfg, &traces, cycle),
-                    None => Simulation::execute(&cfg, &traces),
-                }))
-            }
-            Payload::Fleet(cfg, assignments) => RunOutcome::Fleet(
-                assignments.iter().map(|nets| Simulation::execute_networks(&cfg, nets)).collect(),
-            ),
-            Payload::Serve(spec) => RunOutcome::Serve(Box::new(mnpu_sched::serve(&spec))),
-        }
+        self.run_with(None, None, &mut || RunControl::Continue)
+            .expect("a fresh run has no checkpoint to reject")
+            .done()
     }
 }
 
 /// What a [`Runner`] produced — one variant per request shape.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunOutcome {
-    /// A single-chip batch run ([`RunRequest::traces`] /
-    /// [`RunRequest::networks`]).
+    /// A batch run ([`RunRequest::traces`] / [`RunRequest::networks`]).
     Batch(Box<RunReport>),
-    /// A fleet run: one report per chip, in request order.
-    Fleet(Vec<RunReport>),
     /// A serve run: the engine report plus per-job scheduling records.
     Serve(Box<ServeReport>),
 }
@@ -254,19 +182,7 @@ impl RunOutcome {
     pub fn batch(self) -> RunReport {
         match self {
             RunOutcome::Batch(r) => *r,
-            other => panic!("expected a batch outcome, got {}", other.shape()),
-        }
-    }
-
-    /// The per-chip fleet reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the outcome is not [`RunOutcome::Fleet`].
-    pub fn fleet(self) -> Vec<RunReport> {
-        match self {
-            RunOutcome::Fleet(r) => r,
-            other => panic!("expected a fleet outcome, got {}", other.shape()),
+            RunOutcome::Serve(_) => panic!("expected a batch outcome, got serve"),
         }
     }
 
@@ -278,25 +194,16 @@ impl RunOutcome {
     pub fn serve(self) -> ServeReport {
         match self {
             RunOutcome::Serve(r) => *r,
-            other => panic!("expected a serve outcome, got {}", other.shape()),
+            RunOutcome::Batch(_) => panic!("expected a serve outcome, got batch"),
         }
     }
 
-    /// The underlying engine report, whatever the shape: the batch report,
-    /// the *first* fleet report, or a serve run's engine report.
+    /// The underlying engine report, whatever the shape: the batch report
+    /// or a serve run's engine report.
     pub fn report(&self) -> &RunReport {
         match self {
             RunOutcome::Batch(r) => r,
-            RunOutcome::Fleet(rs) => rs.first().expect("fleet outcomes hold at least one report"),
             RunOutcome::Serve(s) => &s.run,
-        }
-    }
-
-    fn shape(&self) -> &'static str {
-        match self {
-            RunOutcome::Batch(_) => "batch",
-            RunOutcome::Fleet(_) => "fleet",
-            RunOutcome::Serve(_) => "serve",
         }
     }
 }

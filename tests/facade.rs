@@ -1,48 +1,14 @@
 //! The `RunRequest` facade must be a pure re-routing layer: every shape
-//! emits reports byte-identical to the entry point it collapsed
-//! (golden-fixture equality on the emitted JSON), and invalid requests
-//! fail in `build()` with a telling error instead of deep in the engine.
+//! emits reports byte-identical to the engine entry point it wraps
+//! (golden-fixture equality on the emitted JSON), under every probe mode,
+//! and invalid requests fail in `build()` with a telling error instead of
+//! deep in the engine.
 
 use mnpusim::prelude::*;
 use mnpusim::{zoo, Scale};
 
 fn dual_nets() -> Vec<Network> {
     vec![zoo::ncf(Scale::Bench), zoo::dlrm(Scale::Bench)]
-}
-
-#[test]
-#[allow(deprecated)] // the facade replaces run_traces; both must emit the same bytes
-fn traces_mode_matches_the_retired_run_traces() {
-    let cfg = SystemConfig::bench(2, SharingLevel::PlusDwt);
-    let traces: Vec<WorkloadTrace> =
-        dual_nets().iter().zip(&cfg.arch).map(|(n, a)| WorkloadTrace::generate(n, a)).collect();
-    let old = Simulation::run_traces(&cfg, &traces);
-    let new = RunRequest::traces(&cfg, traces).run().batch();
-    assert_eq!(new.to_json(), old.to_json());
-}
-
-#[test]
-#[allow(deprecated)] // the facade replaces run_networks; both must emit the same bytes
-fn networks_mode_matches_the_retired_run_networks() {
-    // Stats probe on, so the comparison covers the instrumented report too.
-    let mut cfg = SystemConfig::bench(2, SharingLevel::PlusD);
-    cfg.probe = ProbeMode::Stats;
-    let old = Simulation::run_networks(&cfg, &dual_nets());
-    let new = RunRequest::networks(&cfg, dual_nets()).run().batch();
-    assert_eq!(new.to_json(), old.to_json());
-}
-
-#[test]
-#[allow(deprecated)] // the facade replaces run_fleet; both must emit the same bytes
-fn fleet_mode_matches_the_retired_run_fleet() {
-    let cfg = SystemConfig::bench(2, SharingLevel::Static);
-    let chips = vec![dual_nets(), vec![zoo::gpt2(Scale::Bench), zoo::ncf(Scale::Bench)]];
-    let old = Simulation::run_fleet(&cfg, &chips);
-    let new = RunRequest::fleet(&cfg, chips).run().fleet();
-    assert_eq!(new.len(), old.len());
-    for (n, o) in new.iter().zip(&old) {
-        assert_eq!(n.to_json(), o.to_json());
-    }
 }
 
 fn scenario() -> ScenarioSpec {
@@ -59,31 +25,61 @@ fn scenario() -> ScenarioSpec {
     }
 }
 
+// `Runner::run` is the chunked `run_with` drive; the engine's straight
+// entry points are `Simulation::execute`, `Simulation::execute_networks`
+// (which replaced the retired `run_traces`/`run_networks`) and
+// `mnpu_sched::serve`. Every comparison runs under all three probe modes;
+// under `ProbeMode::Stats` it covers `RunReport::stats` too — no other
+// suite pins the chunked path's statistics.
+const PROBES: [ProbeMode; 3] = [ProbeMode::None, ProbeMode::Stats, ProbeMode::Flight];
+
 #[test]
-fn serve_mode_matches_the_direct_serve_call() {
-    let old = mnpusim::sched::serve(&scenario());
-    let new = RunRequest::serve(scenario()).run().serve();
-    assert_eq!(new.to_json(), old.to_json());
-    assert_eq!(new, old);
+fn traces_mode_matches_the_retired_run_traces() {
+    for probe in PROBES {
+        // With the request log and bandwidth trace on.
+        let mut cfg = SystemConfig::bench(2, SharingLevel::PlusDwt);
+        cfg.probe = probe;
+        cfg.request_log = true;
+        cfg.trace_window = Some(4096);
+        let traces: Vec<WorkloadTrace> =
+            dual_nets().iter().zip(&cfg.arch).map(|(n, a)| WorkloadTrace::generate(n, a)).collect();
+        let engine = Simulation::execute(&cfg, &traces);
+        let facade = RunRequest::traces(&cfg, traces).run().batch();
+        assert_eq!(facade.to_json(), engine.to_json(), "traces under {probe:?}");
+        assert_eq!(facade, engine, "traces under {probe:?}");
+        assert_eq!(facade.stats.is_some(), probe == ProbeMode::Stats);
+    }
 }
 
 #[test]
-fn checkpointed_requests_stay_bit_exact() {
-    let cfg = SystemConfig::bench(2, SharingLevel::PlusDwt);
-    let straight = RunRequest::networks(&cfg, dual_nets()).run().batch();
-    let resumed =
-        RunRequest::networks(&cfg, dual_nets()).checkpoint_at(straight.total_cycles / 2).run();
-    assert_eq!(resumed.batch().to_json(), straight.to_json());
+fn networks_mode_matches_the_retired_run_networks() {
+    for probe in PROBES {
+        let mut cfg = SystemConfig::bench(2, SharingLevel::PlusD);
+        cfg.probe = probe;
+        let engine = Simulation::execute_networks(&cfg, &dual_nets());
+        let facade = RunRequest::networks(&cfg, dual_nets()).run().batch();
+        assert_eq!(facade.to_json(), engine.to_json(), "networks under {probe:?}");
+        assert_eq!(facade, engine, "networks under {probe:?}");
+    }
+}
+
+#[test]
+fn serve_mode_matches_the_direct_serve_call() {
+    for probe in PROBES {
+        let mut spec = scenario();
+        spec.system.probe = probe;
+        let engine = mnpusim::sched::serve(&spec);
+        let facade = RunRequest::serve(spec).run().serve();
+        assert_eq!(facade.to_json(), engine.to_json(), "serve under {probe:?}");
+        assert_eq!(facade, engine, "serve under {probe:?}");
+    }
 }
 
 #[test]
 fn outcome_report_reaches_every_shape() {
     let cfg = SystemConfig::bench(1, SharingLevel::Ideal);
-    let nets = vec![zoo::ncf(Scale::Bench)];
-    let batch = RunRequest::networks(&cfg, nets.clone()).run();
+    let batch = RunRequest::networks(&cfg, vec![zoo::ncf(Scale::Bench)]).run();
     assert!(batch.report().total_cycles > 0);
-    let fleet = RunRequest::fleet(&cfg, vec![nets]).run();
-    assert!(fleet.report().total_cycles > 0);
     let serve = RunRequest::serve(scenario()).run();
     assert!(serve.report().total_cycles > 0);
 }
@@ -92,17 +88,9 @@ fn outcome_report_reaches_every_shape() {
 fn build_rejects_malformed_requests() {
     let cfg = SystemConfig::bench(2, SharingLevel::PlusDwt);
 
-    // Workload count must match the core count, per chip.
+    // Workload count must match the core count.
     let wrong = RunRequest::networks(&cfg, vec![zoo::ncf(Scale::Bench)]).build();
     assert_eq!(wrong.unwrap_err(), RequestError::Shape { what: "networks", expected: 2, got: 1 });
-    let wrong_chip = RunRequest::fleet(&cfg, vec![vec![zoo::ncf(Scale::Bench)]]).build();
-    assert!(matches!(wrong_chip.unwrap_err(), RequestError::Shape { what: "fleet networks", .. }));
-
-    // Checkpoints only make sense on single-chip batch runs.
-    let ck = RunRequest::serve(scenario()).checkpoint_at(100).build();
-    assert_eq!(ck.unwrap_err(), RequestError::Checkpoint { shape: "serve" });
-    let ck = RunRequest::fleet(&cfg, vec![dual_nets()]).checkpoint_at(100).build();
-    assert_eq!(ck.unwrap_err(), RequestError::Checkpoint { shape: "fleet" });
 
     // An invalid system configuration surfaces the config validator's error.
     let mut broken = cfg.clone();

@@ -193,7 +193,7 @@ fn version_endpoint_reports_build_and_hatches() {
     let addr = svc.addr();
     let (status, _, body) = request(addr, "GET", "/v1/version", "");
     assert_eq!(status, 200, "{body}");
-    let v = mnpu_service::json::parse(&body).expect("version body is JSON");
+    let v = mnpu_snapshot::json::parse(&body).expect("version body is JSON");
     assert_eq!(v.get("name").and_then(|x| x.as_str()), Some("mnpu-service"));
     assert!(!str_field(&body, "version").is_empty());
     assert!(v.get("snapshot_version").and_then(|x| x.as_u64()).is_some(), "{body}");
@@ -248,7 +248,7 @@ fn worker_panic_dumps_a_wellformed_flight_recording() {
         waited += 10;
     }
     let doc = std::fs::read_to_string(&path).expect("flight dump must exist after a panic");
-    let v = mnpu_service::json::parse(&doc).expect("flight dump is well-formed JSON");
+    let v = mnpu_snapshot::json::parse(&doc).expect("flight dump is well-formed JSON");
     assert_eq!(v.get("format").and_then(|x| x.as_str()), Some("mnpu-flight"));
     assert_eq!(v.get("job").and_then(|x| x.as_str()), Some(id.as_str()));
     let events = v.get("events").and_then(|x| x.as_arr()).expect("events array");
@@ -294,7 +294,7 @@ fn progress_cycles_grow_monotonically_across_polls() {
         }
         let (status, _, progress) = request(addr, "GET", &format!("/v1/jobs/{id}/progress"), "");
         assert_eq!(status, 200, "{progress}");
-        let v = mnpu_service::json::parse(&progress).unwrap();
+        let v = mnpu_snapshot::json::parse(&progress).unwrap();
         samples.push(v.get("cycles").and_then(|x| x.as_u64()).unwrap());
         if state == "running" {
             live_samples += 1;
@@ -307,7 +307,7 @@ fn progress_cycles_grow_monotonically_across_polls() {
     // made real progress.
     while samples.len() < 3 {
         let (_, _, progress) = request(addr, "GET", &format!("/v1/jobs/{id}/progress"), "");
-        let v = mnpu_service::json::parse(&progress).unwrap();
+        let v = mnpu_snapshot::json::parse(&progress).unwrap();
         samples.push(v.get("cycles").and_then(|x| x.as_u64()).unwrap());
     }
     assert!(samples.windows(2).all(|w| w[0] <= w[1]), "cycles regressed: {samples:?}");

@@ -5,7 +5,7 @@
 //! `B` has a matching same-name `E` on its thread, and the job span nests
 //! inside the worker span.
 
-use mnpu_service::json::{self, Value};
+use mnpu_snapshot::json::{self, Value};
 use mnpusim::prelude::*;
 use mnpusim::trace::TraceHandle;
 use mnpusim::{zoo, ProbeMode};

@@ -9,7 +9,7 @@
 
 use mnpusim::prelude::*;
 use mnpusim::trace::TraceHandle;
-use mnpusim::{zoo, ProbeMode, RunControl, RunObservation};
+use mnpusim::{zoo, ProbeMode, RunControl};
 
 fn dual_config() -> SystemConfig {
     let mut cfg = SystemConfig::bench(2, SharingLevel::PlusDwt);
@@ -32,15 +32,10 @@ fn outcome_json(outcome: RunOutcome) -> String {
 #[test]
 fn observed_run_is_byte_identical_and_publishes_progress() {
     let cfg = dual_config();
-    let plain = match runner(&cfg).run_controlled(&mut || RunControl::Continue) {
-        RunProgress::Done(o) => outcome_json(o),
-        other => panic!("unstoppable run must finish, got {other:?}"),
-    };
+    let plain = outcome_json(runner(&cfg).run());
     let trace = TraceHandle::new();
-    let observed = match runner(&cfg)
-        .run_observed(Some(&trace), &mut |_: RunObservation| RunControl::Continue)
-    {
-        RunProgress::Done(o) => outcome_json(o),
+    let observed = match runner(&cfg).run_with(None, Some(&trace), &mut || RunControl::Continue) {
+        Ok(RunProgress::Done(o)) => outcome_json(o),
         other => panic!("unstoppable run must finish, got {other:?}"),
     };
     assert_eq!(plain, observed, "attaching telemetry changed the report bytes");
@@ -78,24 +73,16 @@ fn flight_probe_report_matches_probe_none() {
 #[test]
 fn traced_checkpoint_resumes_to_untraced_bytes() {
     let cfg = dual_config();
-    let uninterrupted = match runner(&cfg).run_controlled(&mut || RunControl::Continue) {
-        RunProgress::Done(o) => outcome_json(o),
-        other => panic!("unstoppable run must finish, got {other:?}"),
-    };
+    let uninterrupted = outcome_json(runner(&cfg).run());
     // Stop the traced run at its first poll boundary.
     let trace = TraceHandle::new();
-    let ckpt = match runner(&cfg)
-        .run_observed(Some(&trace), &mut |_: RunObservation| RunControl::Checkpoint)
-    {
-        RunProgress::Checkpointed(c) => c,
+    let ckpt = match runner(&cfg).run_with(None, Some(&trace), &mut || RunControl::Checkpoint) {
+        Ok(RunProgress::Checkpointed(c)) => c,
         other => panic!("a checkpoint-at-first-poll run must checkpoint, got {other:?}"),
     };
     // Resume without any telemetry; the answer must match.
-    let resumed = match runner(&cfg)
-        .resume(ckpt, &mut || RunControl::Continue)
-        .expect("checkpoint round-trips")
-    {
-        RunProgress::Done(o) => outcome_json(o),
+    let resumed = match runner(&cfg).run_with(Some(ckpt), None, &mut || RunControl::Continue) {
+        Ok(RunProgress::Done(o)) => outcome_json(o),
         other => panic!("resumed run must finish, got {other:?}"),
     };
     assert_eq!(uninterrupted, resumed, "a traced stop changed the resumed answer");
@@ -104,15 +91,13 @@ fn traced_checkpoint_resumes_to_untraced_bytes() {
 #[test]
 fn checkpoint_bytes_ignore_telemetry() {
     let cfg = dual_config();
-    let plain = match runner(&cfg).run_controlled(&mut || RunControl::Checkpoint) {
-        RunProgress::Checkpointed(c) => c.to_json(),
+    let plain = match runner(&cfg).run_with(None, None, &mut || RunControl::Checkpoint) {
+        Ok(RunProgress::Checkpointed(c)) => c.to_json(),
         other => panic!("expected a checkpoint, got {other:?}"),
     };
     let trace = TraceHandle::new();
-    let traced = match runner(&cfg)
-        .run_observed(Some(&trace), &mut |_: RunObservation| RunControl::Checkpoint)
-    {
-        RunProgress::Checkpointed(c) => c.to_json(),
+    let traced = match runner(&cfg).run_with(None, Some(&trace), &mut || RunControl::Checkpoint) {
+        Ok(RunProgress::Checkpointed(c)) => c.to_json(),
         other => panic!("expected a checkpoint, got {other:?}"),
     };
     assert_eq!(plain, traced, "telemetry leaked into checkpoint bytes");
@@ -130,22 +115,14 @@ fn flight_probe_checkpoint_round_trips_like_none() {
     let expected = RunRequest::networks(&none_cfg, dual_nets()).run().batch().to_json();
     let trace = TraceHandle::new();
     let _g = mnpusim::trace::install(&trace);
-    let ckpt = match RunRequest::networks(&cfg, dual_nets())
-        .build()
-        .expect("valid request")
-        .run_observed(Some(&trace), &mut |_: RunObservation| RunControl::Checkpoint)
-    {
-        RunProgress::Checkpointed(c) => c,
+    let ckpt = match runner(&cfg).run_with(None, Some(&trace), &mut || RunControl::Checkpoint) {
+        Ok(RunProgress::Checkpointed(c)) => c,
         other => panic!("expected a checkpoint, got {other:?}"),
     };
-    let resumed = match RunRequest::networks(&cfg, dual_nets())
-        .build()
-        .expect("valid request")
-        .resume_observed(ckpt, Some(&trace), &mut |_: RunObservation| RunControl::Continue)
-        .expect("checkpoint round-trips")
-    {
-        RunProgress::Done(o) => o.batch().to_json(),
-        other => panic!("resumed run must finish, got {other:?}"),
-    };
+    let resumed =
+        match runner(&cfg).run_with(Some(ckpt), Some(&trace), &mut || RunControl::Continue) {
+            Ok(RunProgress::Done(o)) => outcome_json(o),
+            other => panic!("resumed run must finish, got {other:?}"),
+        };
     assert_eq!(expected, resumed, "flight-probe checkpoint/resume diverged from probe-none");
 }
