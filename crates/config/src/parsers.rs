@@ -257,20 +257,14 @@ pub fn parse_dram(text: &str) -> Result<DramFileConfig, ConfigError> {
     }
     dram.validate().map_err(|e| ConfigError::parse(kv.file(), 0, e))?;
 
-    let sharing = match kv.get("sharing").unwrap_or("+DWT") {
-        "Ideal" | "ideal" => SharingLevel::Ideal,
-        "Static" | "static" => SharingLevel::Static,
-        "+D" | "+d" => SharingLevel::PlusD,
-        "+DW" | "+dw" => SharingLevel::PlusDw,
-        "+DWT" | "+dwt" => SharingLevel::PlusDwt,
-        other => {
-            return Err(ConfigError::parse(
-                kv.file(),
-                kv.line_of("sharing"),
-                format!("unknown sharing level `{other}`"),
-            ))
-        }
-    };
+    let sharing_name = kv.get("sharing").unwrap_or("+DWT");
+    let sharing = SharingLevel::from_label(sharing_name).ok_or_else(|| {
+        ConfigError::parse(
+            kv.file(),
+            kv.line_of("sharing"),
+            format!("unknown sharing level `{sharing_name}`"),
+        )
+    })?;
     let channel_partition =
         kv.u64_list("channel_partition")?.map(|v| v.into_iter().map(|x| x as usize).collect());
     let noc = match (kv.get("noc_bytes_per_cycle"), kv.get("noc_hop_latency")) {

@@ -147,16 +147,11 @@ pub fn parse_scenario(file: &str, text: &str) -> Result<ScenarioSpec, ConfigErro
             ConfigError::parse(file, line, format!("`cores` must be an integer, got `{v}`"))
         })?,
     };
-    let sharing = match lookup("sharing").map(|(l, v)| (l, v.to_ascii_lowercase())) {
+    let sharing = match lookup("sharing") {
         None => SharingLevel::PlusDwt,
-        Some((_, ref v)) if v == "ideal" => SharingLevel::Ideal,
-        Some((_, ref v)) if v == "static" => SharingLevel::Static,
-        Some((_, ref v)) if v == "+d" => SharingLevel::PlusD,
-        Some((_, ref v)) if v == "+dw" => SharingLevel::PlusDw,
-        Some((_, ref v)) if v == "+dwt" => SharingLevel::PlusDwt,
-        Some((line, v)) => {
-            return Err(ConfigError::parse(file, line, format!("unknown sharing level `{v}`")))
-        }
+        Some((line, v)) => SharingLevel::from_label(v).ok_or_else(|| {
+            ConfigError::parse(file, line, format!("unknown sharing level `{v}`"))
+        })?,
     };
     let system = match lookup("preset") {
         None => SystemConfig::bench(cores, sharing),

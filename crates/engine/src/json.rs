@@ -9,13 +9,12 @@
 use crate::report::{LogKind, RunReport};
 use mnpu_dram::ChannelStats;
 use mnpu_probe::{CoreStats, Histogram, StatsReport};
+use mnpu_snapshot::json;
 use std::fmt::Write as _;
 
 fn push_str_field(out: &mut String, key: &str, val: &str) {
-    // Workload/layer names are plain identifiers; escape the two JSON
-    // metacharacters they could ever contain, for strictness.
-    let escaped: String = val.chars().flat_map(char::escape_default).collect();
-    let _ = write!(out, "\"{key}\":\"{escaped}\"");
+    // Workload and layer names arrive verbatim from topology files.
+    let _ = write!(out, "\"{key}\":\"{}\"", json::escape(val));
 }
 
 fn push_channel_stats(out: &mut String, s: &ChannelStats) {
@@ -291,6 +290,26 @@ mod tests {
         assert!(a.contains("\"total_cycles\":"));
         assert!(a.contains("\"per_channel\":["));
         assert!(a.ends_with("]}"));
+    }
+
+    #[test]
+    fn names_are_escaped_as_json_strings() {
+        use mnpu_model::{GemmSpec, Layer, Network};
+        use mnpu_snapshot::json::{parse, Value};
+
+        let (net_name, layer_name) = ("it's \"rés\"", "a\u{1}b 'é'");
+        let net = Network::new(net_name, vec![Layer::gemm(layer_name, GemmSpec::new(8, 8, 8))]);
+        let cfg = SystemConfig::bench(1, SharingLevel::Ideal);
+        let doc = Simulation::execute_networks(&cfg, &[net]).to_json();
+        // A `layer_cycles` entry keeps its pinned `["name":..,"cycles":..]`
+        // layout, which is not JSON: parse the core's fields before it, and
+        // the entry's members as an object.
+        let (head, rest) = doc.split_once(",\"layer_cycles\":[[").unwrap();
+        let core = parse(&format!("{}}}", &head["{\"cores\":[".len()..])).expect("core is JSON");
+        assert_eq!(core.get("workload").and_then(Value::as_str), Some(net_name));
+        let entry =
+            parse(&format!("{{{}}}", rest.split_once("]]").unwrap().0)).expect("entry is JSON");
+        assert_eq!(entry.get("name").and_then(Value::as_str), Some(layer_name));
     }
 
     #[test]

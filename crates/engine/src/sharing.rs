@@ -54,6 +54,14 @@ impl SharingLevel {
             SharingLevel::PlusDwt => "+DWT",
         }
     }
+
+    /// The level whose [`label`](Self::label) matches `s`, ignoring ASCII
+    /// case (`"+DWT"`, `"+dwt"` and `"ideal"` all parse).
+    pub fn from_label(s: &str) -> Option<SharingLevel> {
+        std::iter::once(SharingLevel::Ideal)
+            .chain(SharingLevel::CO_RUN_LEVELS)
+            .find(|l| l.label().eq_ignore_ascii_case(s))
+    }
 }
 
 impl fmt::Display for SharingLevel {
@@ -98,6 +106,17 @@ mod tests {
         assert_eq!(SharingLevel::PlusDw.to_string(), "+DW");
         assert_eq!(SharingLevel::Static.label(), "Static");
         assert_eq!(SharingLevel::CO_RUN_LEVELS.len(), 4);
+    }
+
+    #[test]
+    fn labels_round_trip_in_either_case() {
+        for l in std::iter::once(SharingLevel::Ideal).chain(SharingLevel::CO_RUN_LEVELS) {
+            assert_eq!(SharingLevel::from_label(l.label()), Some(l));
+            assert_eq!(SharingLevel::from_label(&l.label().to_uppercase()), Some(l));
+            assert_eq!(SharingLevel::from_label(&l.label().to_lowercase()), Some(l));
+        }
+        assert_eq!(SharingLevel::from_label("+DWTX"), None);
+        assert_eq!(SharingLevel::from_label(""), None);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! All functions are pure and panic on empty input (an empty mix is a
 //! harness bug, not a runtime condition).
 //!
+//! [`prom`] holds the Prometheus text-exposition renderers and lint the
+//! daemon's `/metrics` endpoint uses; the daemon's own job counters live
+//! with its job table in `mnpu-service`.
+//!
 //! # Example
 //!
 //! ```
@@ -289,125 +293,6 @@ impl LatencyStats {
         let sample: Vec<f64> = cycles.iter().map(|&c| c as f64).collect();
         LatencyStats::from_sample(&sample)
     }
-
-    /// Non-panicking [`LatencyStats::from_sample`]: `None` on an empty
-    /// sample. The form long-lived services use — an empty latency window
-    /// is a normal runtime condition there, not a harness bug.
-    pub fn try_from_sample(sample: &[f64]) -> Option<Self> {
-        if sample.is_empty() {
-            None
-        } else {
-            Some(LatencyStats::from_sample(sample))
-        }
-    }
-
-    /// Non-panicking [`LatencyStats::from_cycles`]: `None` on an empty
-    /// sample.
-    pub fn try_from_cycles(cycles: &[u64]) -> Option<Self> {
-        if cycles.is_empty() {
-            None
-        } else {
-            Some(LatencyStats::from_cycles(cycles))
-        }
-    }
-}
-
-/// Rolling counters for a long-lived simulation service: one instance
-/// aggregates the whole job lifecycle (admission through completion) plus
-/// observed job latencies, and every derived figure is a pure function of
-/// the counters so the struct can be asserted against in property tests.
-///
-/// ```
-/// use mnpu_metrics::ServiceStats;
-///
-/// let mut s = ServiceStats::new();
-/// s.submissions = 3;
-/// s.rejects = 1;
-/// s.completions = 1;
-/// assert_eq!(s.in_system(), 1); // 3 submitted - 1 rejected - 1 finished
-/// assert!(s.latency().is_none()); // no samples yet
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServiceStats {
-    /// Jobs submitted (accepted *and* rejected).
-    pub submissions: u64,
-    /// Submissions refused by admission control (queue full).
-    pub rejects: u64,
-    /// Jobs handed to a worker at least once.
-    pub dispatches: u64,
-    /// Jobs that ran to completion.
-    pub completions: u64,
-    /// Jobs cancelled by request.
-    pub cancellations: u64,
-    /// Jobs that died with an execution error.
-    pub failures: u64,
-    /// Jobs stopped at their wall-clock budget.
-    pub over_budget: u64,
-    /// Jobs checkpointed by a drain instead of finishing.
-    pub suspended: u64,
-    /// Jobs answered from the result cache without running.
-    pub cache_hits: u64,
-    /// Wall milliseconds workers spent executing jobs (busy time, summed
-    /// across workers — the numerator of a utilization gauge).
-    pub worker_busy_ms: u64,
-    latencies_ms: Vec<f64>,
-    queue_depths: prom::ExpHistogram,
-}
-
-impl ServiceStats {
-    /// Fresh, all-zero counters.
-    pub fn new() -> Self {
-        ServiceStats::default()
-    }
-
-    /// Record one finished job's wall-clock latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is NaN or negative.
-    pub fn record_latency_ms(&mut self, ms: f64) {
-        assert!(ms >= 0.0, "latency must be a non-negative number of milliseconds");
-        self.latencies_ms.push(ms);
-    }
-
-    /// Jobs that reached a terminal state, whatever it was.
-    pub fn finished(&self) -> u64 {
-        self.completions + self.cancellations + self.failures + self.over_budget + self.suspended
-    }
-
-    /// Jobs currently queued or running: submissions minus rejects minus
-    /// every terminal outcome. The queue-depth gauge a service exports must
-    /// always agree with this derivation.
-    pub fn in_system(&self) -> u64 {
-        self.submissions - self.rejects - self.finished()
-    }
-
-    /// Number of recorded latency samples.
-    pub fn latency_samples(&self) -> usize {
-        self.latencies_ms.len()
-    }
-
-    /// The recorded latency samples, milliseconds, in arrival order.
-    pub fn latencies_ms(&self) -> &[f64] {
-        &self.latencies_ms
-    }
-
-    /// Record the admission queue's depth as observed at one scheduling
-    /// event (a submission or a dispatch).
-    pub fn record_queue_depth(&mut self, depth: u64) {
-        self.queue_depths.observe(depth as f64);
-    }
-
-    /// The queue-depth histogram, shaped for Prometheus exposition.
-    pub fn queue_depth_hist(&self) -> &prom::ExpHistogram {
-        &self.queue_depths
-    }
-
-    /// Tail-latency summary of the recorded samples, or `None` before the
-    /// first job finishes.
-    pub fn latency(&self) -> Option<LatencyStats> {
-        LatencyStats::try_from_sample(&self.latencies_ms)
-    }
 }
 
 /// Throughput of a serve-mode run in jobs per million cycles (`makespan` is
@@ -590,39 +475,11 @@ mod tests {
     }
 
     #[test]
-    fn try_from_handles_empty_and_singleton() {
-        assert_eq!(LatencyStats::try_from_sample(&[]), None);
-        assert_eq!(LatencyStats::try_from_cycles(&[]), None);
-        let s = LatencyStats::try_from_cycles(&[7]).expect("one sample is enough");
-        assert_eq!((s.p50, s.p95, s.p99, s.max), (7.0, 7.0, 7.0, 7.0));
-        assert_eq!(LatencyStats::try_from_sample(&[7.0]), Some(s));
-    }
-
-    #[test]
-    fn service_stats_accounting() {
-        let mut s = ServiceStats::new();
-        assert_eq!(s.in_system(), 0);
-        s.submissions = 10;
-        s.rejects = 3;
-        s.completions = 2;
-        s.cancellations = 1;
-        s.over_budget = 1;
-        assert_eq!(s.finished(), 4);
-        assert_eq!(s.in_system(), 3);
-        assert!(s.latency().is_none());
-        s.record_latency_ms(5.0);
-        s.record_latency_ms(15.0);
-        let lat = s.latency().expect("two samples recorded");
-        assert_eq!(s.latency_samples(), 2);
-        assert_eq!(lat.p50, 5.0);
-        assert_eq!(lat.max, 15.0);
-    }
-
-    #[test]
     fn latency_stats_single_observation() {
         let s = LatencyStats::from_cycles(&[42]);
         assert_eq!((s.p50, s.p95, s.p99, s.max), (42.0, 42.0, 42.0, 42.0));
         assert_eq!(s.mean, 42.0);
+        assert_eq!(LatencyStats::from_sample(&[42.0]), s);
     }
 
     #[test]
@@ -664,22 +521,18 @@ mod property_tests {
     proptest! {
         #[test]
         fn prop_latency_percentiles_match_oracle(
-            xs in proptest::collection::vec(0.0f64..1e6, 0..80),
+            xs in proptest::collection::vec(0.0f64..1e6, 1..80),
         ) {
-            match LatencyStats::try_from_sample(&xs) {
-                None => prop_assert!(xs.is_empty()),
-                Some(s) => {
-                    prop_assert_eq!(s.p50, oracle_quantile(&xs, 0.5).expect("non-empty"));
-                    prop_assert_eq!(s.p95, oracle_quantile(&xs, 0.95).expect("non-empty"));
-                    prop_assert_eq!(s.p99, oracle_quantile(&xs, 0.99).expect("non-empty"));
-                    prop_assert_eq!(s.max, oracle_quantile(&xs, 1.0).expect("non-empty"));
-                }
-            }
+            let s = LatencyStats::from_sample(&xs);
+            prop_assert_eq!(s.p50, oracle_quantile(&xs, 0.5).expect("non-empty"));
+            prop_assert_eq!(s.p95, oracle_quantile(&xs, 0.95).expect("non-empty"));
+            prop_assert_eq!(s.p99, oracle_quantile(&xs, 0.99).expect("non-empty"));
+            prop_assert_eq!(s.max, oracle_quantile(&xs, 1.0).expect("non-empty"));
         }
 
         #[test]
         fn prop_all_equal_samples_collapse(x in -1e6f64..1e6, n in 1usize..40) {
-            let s = LatencyStats::try_from_sample(&vec![x; n]).expect("non-empty");
+            let s = LatencyStats::from_sample(&vec![x; n]);
             // Quantiles are observations, so they collapse exactly; the mean
             // only to summation rounding.
             prop_assert_eq!((s.p50, s.p95, s.p99, s.max), (x, x, x, x));

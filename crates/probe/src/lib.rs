@@ -16,6 +16,10 @@
 //! memory-system-side probe) are merged with [`Probe::merge`] when the run
 //! report is assembled, and surface as a [`StatsReport`].
 //!
+//! The crate holds simulation events only, stamped in simulated cycles.
+//! The wall-clock lifecycle of a daemon job around a run lives above it:
+//! `mnpu_trace::JobPhase` and the job timeline of `mnpu-service`.
+//!
 //! ```
 //! use mnpu_probe::{Event, NullProbe, Probe, StatsProbe};
 //!
@@ -36,11 +40,9 @@
 #![warn(missing_docs)]
 
 mod hist;
-mod lifecycle;
 mod stats;
 
 pub use hist::Histogram;
-pub use lifecycle::{JobEvent, JobPhase, JobTimeline};
 pub use stats::{
     CoreStats, DramContention, JobSpan, SchedStats, Span, StallBreakdown, StatsProbe, StatsReport,
 };

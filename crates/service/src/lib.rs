@@ -9,7 +9,8 @@
 //!
 //! * `POST /v1/jobs` — submit; `202` with a job id, or `429` +
 //!   `Retry-After` when the admission queue is at its bound;
-//! * `GET /v1/jobs/<id>` — status and lifecycle timeline;
+//! * `GET /v1/jobs/<id>` — status and lifecycle timeline (the `state` is
+//!   the timeline's last phase, see [`JobRecord::enter`]);
 //! * `GET /v1/jobs/<id>/report` — the result, byte-identical to what an
 //!   in-process facade run of the same body would produce;
 //! * `GET /v1/jobs/<id>/checkpoint` — the resumable checkpoint of a
@@ -43,7 +44,7 @@ pub mod server;
 pub mod signal;
 pub mod wire;
 
-pub use jobs::{JobRecord, JobState, JobTable};
+pub use jobs::{JobRecord, JobTable, ServiceStats};
 pub use queue::{Admission, AdmissionQueue};
 pub use server::{DrainReport, Service, ServiceConfig};
 pub use wire::{parse_job, ExecPlan, WireError, WireJob};

@@ -4,10 +4,13 @@
 //! One [`Service`] owns three kinds of threads: an accept loop, one
 //! short-lived handler per connection, and `workers` long-lived execution
 //! threads. All shared state sits behind a single mutex + condvar pair —
-//! admission queue, job table, counters, and the `hold`/`draining` flags —
-//! and every blocking wait (worker looking for work, drain waiting for
-//! running jobs) is a condition on that one state, so the lifecycle has no
-//! lock-ordering to get wrong.
+//! admission queue, job table, counters, result cache, and the
+//! `hold`/`draining` flags — and every blocking wait (worker looking for
+//! work, drain waiting for running jobs) is a condition on that one state,
+//! so the lifecycle has no lock-ordering to get wrong. Every lifecycle
+//! transition goes through [`JobRecord::enter`](crate::JobRecord::enter),
+//! which writes the job's timeline, its telemetry and the counters
+//! together.
 //!
 //! Execution reuses the rest of the workspace rather than reimplementing
 //! it: facade jobs run through [`mnpusim::Runner::run_with`] (so
@@ -26,14 +29,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mnpu_bench::{sweeps, Harness};
-use mnpu_metrics::{prom, ServiceStats};
-use mnpu_probe::JobPhase;
+use mnpu_metrics::prom;
 use mnpu_snapshot::json;
-use mnpu_trace::TraceHandle;
+use mnpu_trace::{JobPhase, TraceHandle};
 use mnpusim::{RunControl, RunOutcome, RunProgress};
 
 use crate::http::{self, Request};
-use crate::jobs::{JobState, JobTable};
+use crate::jobs::{JobTable, ServiceStats};
 use crate::queue::{Admission, AdmissionQueue};
 use crate::wire::{self, ExecPlan};
 
@@ -77,20 +79,14 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Why a running job was asked to stop, in priority order (a cancel beats
-/// a drain beats a budget when several fire at the same poll).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StopReason {
-    Cancel,
-    Drain,
-    Budget,
-}
-
 /// Everything behind the big lock.
 struct State {
     queue: AdmissionQueue,
     jobs: JobTable,
     stats: ServiceStats,
+    /// Completed results by submission body. Deterministic simulations
+    /// make this sound: the same body always produces the same bytes.
+    cache: HashMap<String, String>,
     /// `true` pauses dispatch while admission keeps running — the switch
     /// the backpressure tests use to fill the queue deterministically.
     hold: bool,
@@ -105,9 +101,6 @@ struct Inner {
     cv: Condvar,
     started: Instant,
     harness: Harness,
-    /// Completed results by submission body. Deterministic simulations
-    /// make this sound: the same body always produces the same bytes.
-    cache: Mutex<HashMap<String, String>>,
     accepting: AtomicBool,
 }
 
@@ -151,14 +144,14 @@ impl Service {
             state: Mutex::new(State {
                 queue: AdmissionQueue::new(cfg.queue_depth),
                 jobs: JobTable::new(),
-                stats: ServiceStats::new(),
+                stats: ServiceStats::default(),
+                cache: HashMap::new(),
                 hold: false,
                 draining: false,
             }),
             cv: Condvar::new(),
             started: Instant::now(),
             harness: Harness::new(),
-            cache: Mutex::new(HashMap::new()),
             accepting: AtomicBool::new(true),
             cfg,
         });
@@ -191,25 +184,24 @@ impl Service {
     /// the checkpoint directory (when configured), and join all threads.
     pub fn shutdown(mut self) -> DrainReport {
         let (running_ids, queued_ids) = {
-            let mut st = self.inner.state.lock().unwrap();
-            st.draining = true;
+            let mut guard = self.inner.state.lock().unwrap();
+            guard.draining = true;
             self.inner.cv.notify_all();
             // Wait for every running job to reach a terminal state — their
             // poll callbacks observe `draining` and checkpoint.
-            while st.jobs.any_running() {
-                st = self.inner.cv.wait(st).unwrap();
+            while guard.jobs.any_running() {
+                guard = self.inner.cv.wait(guard).unwrap();
             }
             // Suspend the backlog: these never started, so their bodies are
             // their whole state.
+            let st = &mut *guard;
             let queued = st.queue.drain();
             let now = self.inner.now_ms();
             for &id in &queued {
                 let job = st.jobs.get_mut(id).expect("queued jobs are in the table");
-                job.state = JobState::Suspended;
-                job.timeline.record(now, JobPhase::Suspended);
-                st.stats.suspended += 1;
+                job.enter(JobPhase::Suspended, now, &mut st.stats);
             }
-            (st.jobs.ids_in_state(JobState::Suspended), queued)
+            (st.jobs.ids_in_state("suspended"), queued)
         };
         let files = self.persist_drain(&running_ids);
 
@@ -286,34 +278,30 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 fn worker_loop(inner: &Arc<Inner>, worker: usize) {
     loop {
         let (id, body, deadline, resumed, trace) = {
-            let mut st = inner.state.lock().unwrap();
+            let mut guard = inner.state.lock().unwrap();
             loop {
-                if st.draining {
+                if guard.draining {
                     return;
                 }
+                let st = &mut *guard;
                 if !st.hold {
                     if let Some(id) = st.queue.pop() {
-                        let now = inner.now_ms();
-                        st.stats.dispatches += 1;
-                        let backlog = st.queue.depth() as u64;
-                        st.stats.record_queue_depth(backlog);
+                        st.stats.record_queue_depth(st.queue.depth() as u64);
                         let job = st.jobs.get_mut(id).expect("popped jobs are in the table");
-                        job.state = JobState::Running;
-                        let phase =
-                            if job.resumed { JobPhase::Resumed } else { JobPhase::Dispatched };
-                        job.timeline.record(now, phase);
                         // Telemetry attaches at dispatch: from here on the
                         // job's ring and progress cell are fetchable.
                         let trace = TraceHandle::with_capacity(inner.cfg.flight_capacity);
-                        trace.record_lifecycle(phase);
                         job.telemetry = Some(trace.clone());
                         job.worker = Some(worker);
+                        let phase =
+                            if job.resumed { JobPhase::Resumed } else { JobPhase::Dispatched };
+                        job.enter(phase, inner.now_ms(), &mut st.stats);
                         let deadline =
                             job.budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
                         break (id, job.body.clone(), deadline, job.resumed, trace);
                     }
                 }
-                st = inner.cv.wait(st).unwrap();
+                guard = inner.cv.wait(guard).unwrap();
             }
         };
         execute(inner, id, &body, deadline, resumed, &trace);
@@ -331,19 +319,20 @@ enum ExecOutcome {
     Error(String),
 }
 
-/// Decide whether a running job must stop, in priority order.
-fn check_stop(inner: &Inner, id: u64, deadline: Option<Instant>) -> Option<StopReason> {
+/// Decide whether a running job must stop, and in which terminal phase:
+/// a cancel beats a drain beats a budget when several fire at one poll.
+fn check_stop(inner: &Inner, id: u64, deadline: Option<Instant>) -> Option<JobPhase> {
     {
         let st = inner.state.lock().unwrap();
         if st.jobs.get(id).is_some_and(|j| j.cancel_requested) {
-            return Some(StopReason::Cancel);
+            return Some(JobPhase::Cancelled);
         }
         if st.draining {
-            return Some(StopReason::Drain);
+            return Some(JobPhase::Suspended);
         }
     }
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Some(StopReason::Budget);
+        return Some(JobPhase::OverBudget);
     }
     None
 }
@@ -372,13 +361,13 @@ fn execute(
     // Result cache: deterministic runs keyed by the exact body. Resumes
     // are excluded — their answer depends on the checkpoint's progress.
     if !resumed {
-        let cached = inner.cache.lock().unwrap().get(body).cloned();
+        let cached = inner.state.lock().unwrap().cache.get(body).cloned();
         if let Some(result) = cached {
             return finish(inner, id, ExecOutcome::Completed(result), None, true, busy_ms(busy));
         }
     }
 
-    let mut stop_reason: Option<StopReason> = None;
+    let mut stop_reason: Option<JobPhase> = None;
     let outcome = {
         let reason = &mut stop_reason;
         catch_unwind(AssertUnwindSafe(|| match job.plan {
@@ -451,89 +440,51 @@ fn render_outcome(outcome: RunOutcome) -> String {
     }
 }
 
-/// Record a job's terminal state, counters and latency, wake waiters, and
-/// — for abnormal stops — dump the flight-recorder black box.
+/// Enter a job's terminal phase (and `checkpointed` before it when the
+/// stop left a checkpoint), wake waiters, and — for abnormal stops — dump
+/// the flight-recorder black box.
 fn finish(
     inner: &Inner,
     id: u64,
     outcome: ExecOutcome,
-    stop_reason: Option<StopReason>,
+    stop_reason: Option<JobPhase>,
     from_cache: bool,
     busy_ms: u64,
 ) {
     let mut flight_dump: Option<(PathBuf, String)> = None;
     {
-        let mut st = inner.state.lock().unwrap();
+        let mut guard = inner.state.lock().unwrap();
+        let st = &mut *guard;
         let now = inner.now_ms();
         st.stats.worker_busy_ms += busy_ms;
         let job = st.jobs.get_mut(id).expect("finishing jobs are in the table");
-        let trace = job.telemetry.clone();
-        match outcome {
+        let phase = match outcome {
             ExecOutcome::Completed(result) => {
-                job.state = JobState::Completed;
                 job.from_cache = from_cache;
-                job.timeline.record(now, JobPhase::Completed);
-                job.result = Some(result.clone());
-                let latency = job.elapsed_ms() as f64;
-                let cacheable = !job.resumed && !from_cache;
-                let body = job.body.clone();
-                if let Some(t) = &trace {
-                    t.record_lifecycle(JobPhase::Completed);
+                if !job.resumed && !from_cache {
+                    st.cache.insert(job.body.clone(), result.clone());
                 }
-                st.stats.completions += 1;
-                if from_cache {
-                    st.stats.cache_hits += 1;
-                }
-                st.stats.record_latency_ms(latency);
-                if cacheable {
-                    inner.cache.lock().unwrap().insert(body, result);
-                }
+                job.result = Some(result);
+                JobPhase::Completed
             }
             ExecOutcome::Stopped(checkpoint) => {
                 if checkpoint.is_some() {
-                    job.timeline.record(now, JobPhase::Checkpointed);
+                    job.enter(JobPhase::Checkpointed, now, &mut st.stats);
                 }
                 job.checkpoint = checkpoint;
                 // A stop with no recorded reason can only be a drain observed
                 // inside the engine after the flag flipped mid-poll.
-                let state = match stop_reason.unwrap_or(StopReason::Drain) {
-                    StopReason::Cancel => JobState::Cancelled,
-                    StopReason::Drain => JobState::Suspended,
-                    StopReason::Budget => JobState::OverBudget,
-                };
-                job.state = state;
-                job.timeline.record(now, state.terminal_phase());
-                if let Some(t) = &trace {
-                    if job.checkpoint.is_some() {
-                        t.record_lifecycle(JobPhase::Checkpointed);
-                    }
-                    t.record_lifecycle(state.terminal_phase());
-                }
-                match state {
-                    JobState::Cancelled => st.stats.cancellations += 1,
-                    JobState::Suspended => st.stats.suspended += 1,
-                    JobState::OverBudget => st.stats.over_budget += 1,
-                    _ => unreachable!("stop reasons map to stopped states"),
-                }
+                stop_reason.unwrap_or(JobPhase::Suspended)
             }
             ExecOutcome::Error(message) => {
-                job.state = JobState::Failed;
                 job.error = Some(message);
-                job.timeline.record(now, JobPhase::Failed);
-                if let Some(t) = &trace {
-                    t.record_lifecycle(JobPhase::Failed);
-                }
-                st.stats.failures += 1;
+                JobPhase::Failed
             }
-        }
+        };
+        job.enter(phase, now, &mut st.stats);
         // An abnormal stop writes the black box; completions don't need one.
-        let job = st.jobs.get(id).expect("still in the table");
-        let abnormal = matches!(
-            job.state,
-            JobState::Failed | JobState::Cancelled | JobState::OverBudget | JobState::Suspended
-        );
-        if abnormal {
-            if let (Some(t), Some(dir)) = (&trace, &inner.cfg.flight_dir) {
+        if phase != JobPhase::Completed {
+            if let (Some(t), Some(dir)) = (&job.telemetry, &inner.cfg.flight_dir) {
                 let wire_id = job.wire_id();
                 flight_dump =
                     Some((dir.join(format!("flight-{wire_id}.json")), t.dump_json(&wire_id)));
@@ -629,7 +580,6 @@ fn submit(inner: &Arc<Inner>, body: &str) -> Response {
         Ok(j) => j,
         Err(e) => return json_response(e.status(), json_error(&e.message())),
     };
-    st.stats.submissions += 1;
     if st.queue.depth() >= st.queue.bound() {
         st.stats.rejects += 1;
         let retry = inner.cfg.retry_after_secs;
@@ -640,8 +590,9 @@ fn submit(inner: &Arc<Inner>, body: &str) -> Response {
             json_error(&format!("admission queue full ({} queued)", st.queue.depth())),
         );
     }
-    let now = inner.now_ms();
-    let id = st.jobs.admit(body.to_string(), job.budget_ms, job.resumed, now);
+    let st = &mut *st;
+    let id =
+        st.jobs.admit(body.to_string(), job.budget_ms, job.resumed, inner.now_ms(), &mut st.stats);
     let admitted = st.queue.submit(id);
     debug_assert_eq!(admitted, Admission::Accepted, "depth was checked under the same lock");
     inner.cv.notify_all();
@@ -685,28 +636,22 @@ fn job_route(inner: &Arc<Inner>, method: &str, rest: &str) -> Response {
             None => json_response(404, json_error("job has not been dispatched")),
         },
         ("DELETE", None) => {
-            let now = inner.now_ms();
+            let st = &mut *st;
             let job = st.jobs.get_mut(id).expect("present above");
-            match job.state {
-                JobState::Queued => {
+            match job.state() {
+                "queued" => {
                     job.cancel_requested = true;
-                    job.state = JobState::Cancelled;
-                    job.timeline.record(now, JobPhase::Cancelled);
-                    let body = job.status_json();
+                    job.enter(JobPhase::Cancelled, inner.now_ms(), &mut st.stats);
                     let removed = st.queue.cancel(id);
                     debug_assert!(removed, "queued jobs are in the queue");
-                    st.stats.cancellations += 1;
                     inner.cv.notify_all();
-                    json_response(200, body)
                 }
-                JobState::Running => {
-                    // The worker observes the flag at its next poll and
-                    // checkpoints; the client polls for `cancelled`.
-                    job.cancel_requested = true;
-                    json_response(200, job.status_json())
-                }
-                _ => json_response(200, job.status_json()),
+                // The worker observes the flag at its next poll and
+                // checkpoints; the client polls for `cancelled`.
+                "running" => job.cancel_requested = true,
+                _ => {}
             }
+            json_response(200, job.status_json())
         }
         _ => json_response(405, json_error("method not allowed for this job route")),
     }
@@ -734,7 +679,7 @@ fn version_json() -> String {
 fn metrics(inner: &Arc<Inner>) -> String {
     let st = inner.state.lock().unwrap();
     let s = &st.stats;
-    let running = st.jobs.ids_in_state(JobState::Running).len();
+    let running = st.jobs.ids_in_state("running").len();
     let workers = inner.cfg.workers.max(1);
     let uptime = inner.started.elapsed().as_secs_f64();
     let utilization = if uptime > 0.0 {
@@ -743,10 +688,6 @@ fn metrics(inner: &Arc<Inner>) -> String {
         0.0
     };
     let sim = mnpu_trace::counters::snapshot();
-    let mut latency = prom::ExpHistogram::latency_seconds();
-    for &ms in s.latencies_ms() {
-        latency.observe(ms / 1000.0);
-    }
     let mut out = String::new();
     prom::gauge(
         &mut out,
@@ -774,44 +715,36 @@ fn metrics(inner: &Arc<Inner>) -> String {
         "Fraction of total worker time spent executing jobs.",
         utilization,
     );
-    prom::counter(&mut out, "service_submissions_total", "Submissions received.", s.submissions);
+    prom::counter(&mut out, "service_submissions_total", "Submissions received.", s.submissions());
     prom::counter(
         &mut out,
         "service_rejects_total",
         "Submissions bounced by admission control.",
         s.rejects,
     );
-    prom::counter(&mut out, "service_dispatches_total", "Jobs handed to a worker.", s.dispatches);
-    prom::counter(
-        &mut out,
-        "service_completions_total",
-        "Jobs finished with a result.",
-        s.completions,
-    );
-    prom::counter(
-        &mut out,
-        "service_cancellations_total",
-        "Jobs stopped by DELETE.",
-        s.cancellations,
-    );
-    prom::counter(
-        &mut out,
-        "service_over_budget_total",
-        "Jobs stopped at their wall-clock budget.",
-        s.over_budget,
-    );
-    prom::counter(&mut out, "service_failures_total", "Jobs that died with an error.", s.failures);
-    prom::counter(
-        &mut out,
-        "service_suspended_total",
-        "Jobs checkpointed or re-queued by a drain.",
-        s.suspended,
-    );
+    prom::counter(&mut out, "service_dispatches_total", "Jobs handed to a worker.", s.dispatches());
+    for (name, help, phase) in [
+        ("service_completions_total", "Jobs finished with a result.", JobPhase::Completed),
+        ("service_cancellations_total", "Jobs stopped by DELETE.", JobPhase::Cancelled),
+        (
+            "service_over_budget_total",
+            "Jobs stopped at their wall-clock budget.",
+            JobPhase::OverBudget,
+        ),
+        ("service_failures_total", "Jobs that died with an error.", JobPhase::Failed),
+        (
+            "service_suspended_total",
+            "Jobs checkpointed or re-queued by a drain.",
+            JobPhase::Suspended,
+        ),
+    ] {
+        prom::counter(&mut out, name, help, s.entries(phase));
+    }
     prom::counter(
         &mut out,
         "service_cache_hits_total",
         "Completions served from the result cache.",
-        s.cache_hits,
+        s.cache_hits(),
     );
     prom::counter(
         &mut out,
@@ -841,7 +774,7 @@ fn metrics(inner: &Arc<Inner>) -> String {
         &mut out,
         "service_job_latency_seconds",
         "Terminal job latency, admission to terminal state.",
-        &latency,
+        s.latency_hist(),
     );
     prom::histogram(
         &mut out,

@@ -2,10 +2,10 @@
 //!
 //! A submission body describes one job in one of three kinds:
 //!
-//! * `"networks"` — a single-chip batch run: `cores`, `sharing`
-//!   (`"ideal"`/`"static"`/`"+d"`/`"+dw"`/`"+dwt"`), `networks` (zoo
-//!   names, one per core), optional `trace_window` and `probe`
-//!   (`"stats"`/`"flight"`);
+//! * `"networks"` — a single-chip batch run: `cores`, `sharing` (a level
+//!   label in any ASCII case: `"ideal"`, `"static"`, `"+d"`, `"+dw"`,
+//!   `"+DWT"`, ...), `networks` (zoo names, one per core), optional
+//!   `trace_window` and `probe` (`"stats"`/`"flight"`);
 //! * `"serve"` — a dynamic scenario: `scenario` holds the scenario file
 //!   text verbatim ([`mnpu_config::parse_scenario`]);
 //! * `"sweep"` — a canonical sweep by name (`"tiny"`, `"fig04"`), run
@@ -108,17 +108,6 @@ impl From<SnapError> for WireError {
     }
 }
 
-fn sharing_by_name(name: &str) -> Option<SharingLevel> {
-    Some(match name {
-        "ideal" => SharingLevel::Ideal,
-        "static" => SharingLevel::Static,
-        "+d" => SharingLevel::PlusD,
-        "+dw" => SharingLevel::PlusDw,
-        "+dwt" => SharingLevel::PlusDwt,
-        _ => return None,
-    })
-}
-
 fn field_err(m: impl Into<String>) -> WireError {
     WireError::Field(m.into())
 }
@@ -173,7 +162,7 @@ pub fn parse_job(body: &str) -> Result<WireJob, WireError> {
                 .get("sharing")
                 .and_then(Value::as_str)
                 .ok_or_else(|| field_err("'networks' jobs need a 'sharing' level"))?;
-            let sharing = sharing_by_name(sharing_name).ok_or_else(|| {
+            let sharing = SharingLevel::from_label(sharing_name).ok_or_else(|| {
                 field_err(format!(
                     "unknown sharing level '{sharing_name}' (ideal, static, +d, +dw, +dwt)"
                 ))
@@ -252,6 +241,20 @@ mod tests {
         assert_eq!(job.budget_ms, Some(500));
         assert!(!job.resumed);
         assert!(matches!(job.plan, ExecPlan::Facade(_, None)));
+    }
+
+    #[test]
+    fn sharing_accepts_the_level_label() {
+        for level in ["+DWT", "+dwt", "Ideal", "STATIC"] {
+            let body = format!(
+                r#"{{"kind":"networks","cores":1,"sharing":"{level}","networks":["ncf"]}}"#
+            );
+            assert!(parse_job(&body).is_ok(), "{level}");
+        }
+        let err = parse_job(r#"{"kind":"networks","cores":1,"sharing":"+dwx","networks":["ncf"]}"#)
+            .unwrap_err();
+        assert_eq!(err.status(), 400);
+        assert!(err.message().contains("unknown sharing level '+dwx'"), "{}", err.message());
     }
 
     #[test]

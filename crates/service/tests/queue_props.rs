@@ -1,5 +1,7 @@
 //! Property tests for the admission queue + service counters, driven by
-//! random submit/cancel/dispatch interleavings.
+//! random submit/cancel/dispatch interleavings. The counters come from the
+//! daemon's own lifecycle transition, `JobRecord::enter` on a
+//! [`JobTable`], exactly as the server drives it.
 //!
 //! The invariants under test are the ones the daemon's metrics endpoint
 //! advertises:
@@ -11,8 +13,8 @@
 
 use std::collections::HashSet;
 
-use mnpu_metrics::ServiceStats;
-use mnpu_service::{Admission, AdmissionQueue};
+use mnpu_service::{Admission, AdmissionQueue, JobTable, ServiceStats};
+use mnpu_trace::JobPhase;
 use proptest::prelude::*;
 
 /// One scripted step against the queue.
@@ -41,9 +43,11 @@ proptest! {
         bound in 1usize..6,
     ) {
         let mut q = AdmissionQueue::new(bound);
-        let mut stats = ServiceStats::new();
+        let mut table = JobTable::new();
+        let mut stats = ServiceStats::default();
 
-        let mut next_id = 0u64;
+        let mut now = 0u64;
+        let mut rejects = 0u64;
         let mut submitted: Vec<u64> = Vec::new();      // accepted, in order
         let mut model_queue: Vec<u64> = Vec::new();    // expected FIFO
         let mut dispatched: HashSet<u64> = HashSet::new();
@@ -52,19 +56,24 @@ proptest! {
         for &raw in &raw_ops {
             match decode(raw) {
                 Op::Submit => {
-                    next_id += 1;
-                    stats.submissions += 1;
-                    match q.submit(next_id) {
+                    now += 1;
+                    // The id admission assigns next; a bounced submission
+                    // never gets a record, as in the server.
+                    let id = table.len() as u64 + 1;
+                    match q.submit(id) {
                         Admission::Accepted => {
                             prop_assert!(model_queue.len() < bound,
                                 "accepted above the bound");
-                            submitted.push(next_id);
-                            model_queue.push(next_id);
+                            prop_assert_eq!(
+                                table.admit(String::new(), None, false, now, &mut stats), id);
+                            submitted.push(id);
+                            model_queue.push(id);
                         }
                         Admission::Rejected => {
                             prop_assert_eq!(model_queue.len(), bound,
                                 "rejected below the bound");
                             stats.rejects += 1;
+                            rejects += 1;
                         }
                     }
                 }
@@ -78,9 +87,11 @@ proptest! {
                         prop_assert!(dispatched.insert(expect), "a job ran twice");
                         prop_assert!(!cancelled.contains(&expect),
                             "a cancelled job was dispatched");
-                        stats.dispatches += 1;
-                        stats.completions += 1;
-                        stats.record_latency_ms(0.0);
+                        let job = table.get_mut(expect).expect("admitted jobs are in the table");
+                        prop_assert_eq!(job.state(), "queued", "dispatched a job twice");
+                        now += 1;
+                        job.enter(JobPhase::Dispatched, now, &mut stats);
+                        job.enter(JobPhase::Completed, now, &mut stats);
                     }
                 }
                 Op::Cancel(k) => {
@@ -93,7 +104,8 @@ proptest! {
                             prop_assert!(removed, "queued jobs must be cancellable");
                             model_queue.remove(pos);
                             cancelled.insert(id);
-                            stats.cancellations += 1;
+                            let job = table.get_mut(id).expect("admitted jobs are in the table");
+                            job.enter(JobPhase::Cancelled, now, &mut stats);
                         }
                         None => prop_assert!(!removed,
                             "cancel invented a job that was not queued"),
@@ -111,6 +123,8 @@ proptest! {
             );
             prop_assert_eq!(stats.in_system(), q.depth() as u64,
                 "in_system must equal queued (+0 running in this model)");
+            prop_assert_eq!(&table.ids_in_state("queued"), &model_queue,
+                "the table's queued jobs drifted from the queue");
             let ids: Vec<u64> = q.ids().collect();
             prop_assert_eq!(&ids, &model_queue, "queue order drifted from FIFO");
         }
@@ -128,6 +142,8 @@ proptest! {
         }
         prop_assert_eq!(stats.finished(),
             dispatched.len() as u64 + cancelled.len() as u64);
+        prop_assert_eq!(stats.dispatches(), dispatched.len() as u64);
+        prop_assert_eq!(stats.submissions(), submitted.len() as u64 + rejects);
     }
 
     /// The backpressure contract in isolation: once the queue is full,

@@ -14,6 +14,7 @@
 
 use crate::recorder::{FlightEvent, FlightKind};
 use mnpu_probe::Phase;
+use mnpu_snapshot::json::escape;
 use std::collections::HashMap;
 
 /// The control lane (worker + job spans and all instant events).
@@ -29,10 +30,6 @@ fn phase_idx(p: Phase) -> u32 {
 
 fn lane_tid(core: u32, p: Phase) -> u32 {
     10 + core * 3 + phase_idx(p)
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn span(name: &str, ph: char, ts: u64, tid: u32) -> (u64, String) {
@@ -113,8 +110,8 @@ pub fn chrome_trace(job: &str, worker: usize, events: &[FlightEvent]) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::progress::JobPhase;
     use crate::recorder::FlightRecorder;
-    use mnpu_probe::JobPhase;
 
     fn sample_events() -> Vec<FlightEvent> {
         let mut r = FlightRecorder::new(64);

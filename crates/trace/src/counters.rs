@@ -2,8 +2,8 @@
 //!
 //! These count events that happen *below* the service's job lifecycle —
 //! harness run-cache hits, simulations avoided by prefix sharing, DRAM
-//! steady-state fast-forward commits — and therefore cannot live in
-//! `ServiceStats` (which is owned by the daemon's state lock). They are
+//! steady-state fast-forward commits — and therefore cannot live with
+//! the daemon's job counters (which sit behind its state lock). They are
 //! plain relaxed atomics: cheap enough for the hot paths that bump them,
 //! monotone so a Prometheus scrape can treat them as counters, and global
 //! so the bench harness and the engine can report without plumbing a

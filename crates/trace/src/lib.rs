@@ -38,10 +38,9 @@ mod recorder;
 
 pub use chrome::chrome_trace;
 pub use probe::FlightProbe;
-pub use progress::{ProgressCell, ProgressSnapshot, StallSnapshot, TrafficSnapshot};
+pub use progress::{JobPhase, ProgressCell, ProgressSnapshot, StallSnapshot, TrafficSnapshot};
 pub use recorder::{FlightEvent, FlightKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 
-use mnpu_probe::JobPhase;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -235,6 +234,18 @@ mod tests {
         assert_eq!(kinds, vec!["dispatched", "poll", "completed"]);
         let dump = h.dump_json("job-1");
         assert!(dump.contains("\"kind\":\"completed\""));
+    }
+
+    #[test]
+    fn dumps_escape_the_job_name() {
+        let h = TraceHandle::new();
+        h.record_lifecycle(JobPhase::Failed);
+        let job = "a\"b";
+        let dump = mnpu_snapshot::json::parse(&h.dump_json(job)).expect("the dump is JSON");
+        assert_eq!(dump.get("job").and_then(|v| v.as_str()), Some(job));
+        let trace = mnpu_snapshot::json::parse(&h.chrome_json(job, 0)).expect("the trace is JSON");
+        let events = trace.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+        assert_eq!(events[1].get("name").and_then(|v| v.as_str()), Some(job));
     }
 
     #[test]

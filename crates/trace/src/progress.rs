@@ -8,36 +8,79 @@
 //! individually consistent (a reader may observe fields from two adjacent
 //! polls, never a torn value), and the cycle counter is monotone — the
 //! property the conformance suite polls for.
+//!
+//! The cell also carries the job's [`JobPhase`], the daemon lifecycle step
+//! that the flight ring records too.
 
-use mnpu_probe::JobPhase;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-/// Encode a lifecycle phase for atomic storage.
-pub(crate) fn phase_code(p: JobPhase) -> u64 {
-    match p {
-        JobPhase::Submitted => 0,
-        JobPhase::Dispatched => 1,
-        JobPhase::Checkpointed => 2,
-        JobPhase::Resumed => 3,
-        JobPhase::Completed => 4,
-        JobPhase::Cancelled => 5,
-        JobPhase::OverBudget => 6,
-        JobPhase::Failed => 7,
-        JobPhase::Suspended => 8,
-    }
+/// One step in a daemon job's lifecycle, as the flight ring and the
+/// progress cell record it. The discriminant is the phase's index in
+/// [`JobPhase::ALL`], which is how the progress cell stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(u8)]
+pub enum JobPhase {
+    /// Accepted by admission control and queued.
+    Submitted,
+    /// Handed to a worker; the simulation is running.
+    Dispatched,
+    /// Snapshotted mid-run (budget, cancel or drain) — resumable.
+    Checkpointed,
+    /// Restored from a checkpoint and running again.
+    Resumed,
+    /// Ran to completion; the report is available.
+    Completed,
+    /// Stopped by a cancellation request.
+    Cancelled,
+    /// Stopped at its wall-clock budget.
+    OverBudget,
+    /// Died with an execution error.
+    Failed,
+    /// Checkpointed (or left in the backlog) by a daemon drain.
+    Suspended,
 }
 
-fn phase_from_code(c: u64) -> JobPhase {
-    match c {
-        1 => JobPhase::Dispatched,
-        2 => JobPhase::Checkpointed,
-        3 => JobPhase::Resumed,
-        4 => JobPhase::Completed,
-        5 => JobPhase::Cancelled,
-        6 => JobPhase::OverBudget,
-        7 => JobPhase::Failed,
-        8 => JobPhase::Suspended,
-        _ => JobPhase::Submitted,
+impl JobPhase {
+    /// Every phase, in discriminant order: `ALL[p as usize] == p`.
+    pub const ALL: [JobPhase; 9] = [
+        JobPhase::Submitted,
+        JobPhase::Dispatched,
+        JobPhase::Checkpointed,
+        JobPhase::Resumed,
+        JobPhase::Completed,
+        JobPhase::Cancelled,
+        JobPhase::OverBudget,
+        JobPhase::Failed,
+        JobPhase::Suspended,
+    ];
+
+    /// Stable lowercase name (status JSON, flight labels, progress).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            JobPhase::Submitted => "submitted",
+            JobPhase::Dispatched => "dispatched",
+            JobPhase::Checkpointed => "checkpointed",
+            JobPhase::Resumed => "resumed",
+            JobPhase::Completed => "completed",
+            JobPhase::Cancelled => "cancelled",
+            JobPhase::OverBudget => "over_budget",
+            JobPhase::Failed => "failed",
+            JobPhase::Suspended => "suspended",
+        }
+    }
+
+    /// `true` when the phase ends the job's current incarnation (it may
+    /// still be resumable: `Cancelled`, `OverBudget` and `Suspended` jobs
+    /// with a checkpoint can come back as `Resumed`).
+    pub fn is_terminal(self) -> bool {
+        matches!(
+            self,
+            JobPhase::Completed
+                | JobPhase::Cancelled
+                | JobPhase::OverBudget
+                | JobPhase::Failed
+                | JobPhase::Suspended
+        )
     }
 }
 
@@ -130,7 +173,7 @@ impl ProgressSnapshot {
 pub struct ProgressCell {
     cycles: AtomicU64,
     polls: AtomicU64,
-    phase: AtomicU64,
+    phase: AtomicU8,
     wall_ms: AtomicU64,
     stall: [AtomicU64; 4],
     traffic: [AtomicU64; 6],
@@ -150,7 +193,7 @@ impl ProgressCell {
 
     /// Record the job's lifecycle phase.
     pub fn set_phase(&self, phase: JobPhase) {
-        self.phase.store(phase_code(phase), Ordering::Relaxed);
+        self.phase.store(phase as u8, Ordering::Relaxed);
     }
 
     /// Fold stall-attribution deltas in (probe-side, per publish window).
@@ -188,7 +231,7 @@ impl ProgressCell {
         ProgressSnapshot {
             cycles,
             polls: self.polls.load(Ordering::Relaxed),
-            phase: phase_from_code(self.phase.load(Ordering::Relaxed)),
+            phase: JobPhase::ALL[usize::from(self.phase.load(Ordering::Relaxed))],
             wall_ms,
             cycles_per_sec: rate,
             stall: StallSnapshot {
@@ -229,20 +272,23 @@ mod tests {
     #[test]
     fn phases_round_trip() {
         let c = ProgressCell::default();
-        for p in [
-            JobPhase::Submitted,
-            JobPhase::Dispatched,
-            JobPhase::Checkpointed,
-            JobPhase::Resumed,
-            JobPhase::Completed,
-            JobPhase::Cancelled,
-            JobPhase::OverBudget,
-            JobPhase::Failed,
-            JobPhase::Suspended,
-        ] {
+        assert_eq!(c.snapshot().phase, JobPhase::Submitted);
+        for (i, p) in JobPhase::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i);
             c.set_phase(p);
             assert_eq!(c.snapshot().phase, p);
         }
+    }
+
+    #[test]
+    fn terminal_phases() {
+        assert!(!JobPhase::Submitted.is_terminal());
+        assert!(!JobPhase::Dispatched.is_terminal());
+        assert!(!JobPhase::Resumed.is_terminal());
+        assert!(!JobPhase::Checkpointed.is_terminal());
+        assert!(JobPhase::Completed.is_terminal());
+        assert!(JobPhase::Suspended.is_terminal());
+        assert!(JobPhase::Cancelled.is_terminal());
     }
 
     #[test]

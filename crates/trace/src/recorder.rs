@@ -14,7 +14,9 @@
 //! The recorder is pure data — no clocks, no locks — so its cap and
 //! overwrite-oldest semantics can be pinned down by property tests.
 
-use mnpu_probe::{JobPhase, Phase};
+use crate::progress::JobPhase;
+use mnpu_probe::Phase;
+use mnpu_snapshot::json;
 use std::collections::VecDeque;
 
 /// Default ring capacity (events) when a service does not configure one.
@@ -183,7 +185,7 @@ impl FlightRecorder {
         format!(
             "{{\"format\":\"mnpu-flight\",\"version\":1,\"job\":\"{}\",\"capacity\":{},\
              \"pushed\":{},\"dropped\":{},\"events\":[{}]}}",
-            job,
+            json::escape(job),
             self.cap,
             self.next_seq,
             self.dropped,

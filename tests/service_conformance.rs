@@ -358,3 +358,131 @@ fn admission_bounces_exactly_the_excess_and_loses_nothing() {
     assert!(metrics.contains("service_completions_total 2"), "{metrics}");
     svc.shutdown();
 }
+
+/// The integer value of an unlabelled sample line `name <value>`.
+fn sample(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} sample in {metrics}"))
+}
+
+/// Every `/metrics` job counter is a count of one lifecycle phase: drive
+/// one job to each outcome, then require each counter to equal what the
+/// status timelines show.
+#[test]
+fn metrics_counters_match_the_status_timelines() {
+    let cfg = ServiceConfig { workers: 1, queue_depth: 1, ..ServiceConfig::default() };
+    let svc = Service::start(cfg).unwrap();
+    let addr = svc.addr();
+    let small = r#"{"kind":"networks","cores":1,"sharing":"ideal","networks":["ncf"]"#;
+    // Forty serve jobs take seconds; a stop lands at the next step, so these
+    // are stopped mid-run and never run to the end.
+    let long = |tail: &str| {
+        let jobs = "job = res\\n".repeat(40);
+        format!(r#"{{"kind":"serve","scenario":"cores = 1\npattern = fixed:0\n{jobs}",{tail}}}"#)
+    };
+    let wait_running = |id: &str| loop {
+        let (_, _, status) = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
+        if str_field(&status, "state") != "queued" {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
+
+    let done = submit(addr, &format!("{small}}}"));
+    assert_eq!(wait_terminal(addr, &done), "completed");
+    let cached = submit(addr, &format!("{small}}}"));
+    assert_eq!(wait_terminal(addr, &cached), "completed");
+    let budget = submit(addr, &format!(r#"{small},"budget_ms":0}}"#));
+    assert_eq!(wait_terminal(addr, &budget), "over_budget");
+    let failed = submit(addr, &long(r#""fault":"panic""#));
+    assert_eq!(wait_terminal(addr, &failed), "failed");
+    let cancel_running = submit(addr, &long(r#""budget_ms":3600000"#));
+    wait_running(&cancel_running);
+    assert_eq!(request(addr, "DELETE", &format!("/v1/jobs/{cancel_running}"), "").0, 200);
+    assert_eq!(wait_terminal(addr, &cancel_running), "cancelled");
+
+    assert_eq!(request(addr, "POST", "/v1/hold", "").0, 200);
+    let cancel_queued = submit(addr, &format!(r#"{small},"budget_ms":1}}"#));
+    assert_eq!(request(addr, "POST", "/v1/jobs", &format!("{small}}}")).0, 429);
+    assert_eq!(request(addr, "DELETE", &format!("/v1/jobs/{cancel_queued}"), "").0, 200);
+    assert_eq!(wait_terminal(addr, &cancel_queued), "cancelled");
+    assert_eq!(request(addr, "POST", "/v1/release", "").0, 200);
+
+    let drained = submit(addr, &long(r#""budget_ms":3600001"#));
+    wait_running(&drained);
+    let left_queued = submit(addr, &format!("{small}}}"));
+    assert_eq!(request(addr, "POST", "/v1/drain", "").0, 200);
+    assert_eq!(wait_terminal(addr, &drained), "suspended");
+
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
+    let mut ends = std::collections::BTreeMap::<String, u64>::new();
+    let (mut dispatched, mut from_cache, mut live) = (0, 0, 0);
+    for id in
+        [&done, &cached, &budget, &failed, &cancel_running, &cancel_queued, &drained, &left_queued]
+    {
+        let (_, _, status) = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
+        let v = mnpu_snapshot::json::parse(&status).unwrap();
+        let timeline = v.get("timeline").and_then(|t| t.as_arr()).unwrap();
+        let phases: Vec<&str> =
+            timeline.iter().map(|e| e.get("phase").and_then(|p| p.as_str()).unwrap()).collect();
+        *ends.entry(phases.last().unwrap().to_string()).or_default() += 1;
+        dispatched += phases.iter().filter(|p| matches!(**p, "dispatched" | "resumed")).count();
+        from_cache += usize::from(status.contains("\"from_cache\":true"));
+        live += usize::from(matches!(str_field(&status, "state").as_str(), "queued" | "running"));
+    }
+    let expected_ends = [
+        ("cancelled", 2),
+        ("completed", 2),
+        ("failed", 1),
+        ("over_budget", 1),
+        ("submitted", 1),
+        ("suspended", 1),
+    ];
+    assert_eq!(ends, expected_ends.map(|(p, n)| (p.to_string(), n)).into(), "{metrics}");
+    for (counter, phase) in [
+        ("service_completions_total", "completed"),
+        ("service_cancellations_total", "cancelled"),
+        ("service_over_budget_total", "over_budget"),
+        ("service_failures_total", "failed"),
+        ("service_suspended_total", "suspended"),
+    ] {
+        assert_eq!(sample(&metrics, counter), ends[phase], "{counter}: {metrics}");
+    }
+    assert_eq!(sample(&metrics, "service_dispatches_total"), dispatched as u64, "{metrics}");
+    assert_eq!(sample(&metrics, "service_cache_hits_total"), from_cache as u64, "{metrics}");
+    assert_eq!(sample(&metrics, "service_submissions_total"), 9, "{metrics}");
+    assert_eq!(sample(&metrics, "service_rejects_total"), 1, "{metrics}");
+    assert_eq!(sample(&metrics, "service_jobs_in_system"), live as u64, "{metrics}");
+    assert_eq!(live, 1);
+    let families: Vec<&str> =
+        metrics.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+    assert_eq!(
+        families,
+        [
+            "service_queue_depth",
+            "service_queue_bound",
+            "service_jobs_running",
+            "service_jobs_in_system",
+            "service_workers",
+            "service_worker_utilization",
+            "service_submissions_total",
+            "service_rejects_total",
+            "service_dispatches_total",
+            "service_completions_total",
+            "service_cancellations_total",
+            "service_over_budget_total",
+            "service_failures_total",
+            "service_suspended_total",
+            "service_cache_hits_total",
+            "service_worker_busy_ms_total",
+            "sim_run_cache_hits_total",
+            "sim_prefix_share_sims_total",
+            "sim_fastfwd_commits_total",
+            "service_job_latency_seconds",
+            "service_dispatch_queue_depth",
+        ]
+    );
+    svc.shutdown();
+}
