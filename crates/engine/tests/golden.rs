@@ -12,7 +12,10 @@
 //! the HBM2-class bench chip (the original fixture), the DDR4 preset
 //! (longer CAS, slower clock, deeper refresh — a different event
 //! schedule shape), and the 64 KB and 1 MB page sizes (3- and 2-level
-//! walks, different TLB reach).
+//! walks, different TLB reach). A fifth runs the original chip under
+//! [`ProbeMode::Stats`], pinning the report's `stats` section: the
+//! counters, histograms, stall breakdown and epoch series the probe
+//! aggregates from engine and DRAM events alike.
 //!
 //! Regenerate intentionally (after a *semantic* model change, never for
 //! an optimization) with:
@@ -24,7 +27,7 @@
 //! which rewrites every fixture in one pass and prints the new sizes.
 
 use mnpu_dram::DramConfig;
-use mnpu_engine::{SharingLevel, Simulation, SystemConfig};
+use mnpu_engine::{ProbeMode, SharingLevel, Simulation, SystemConfig};
 use mnpu_model::{zoo, Scale};
 
 /// The pinned run: four different benchmarks (memory-bound ds2, the two
@@ -90,4 +93,11 @@ fn quad_mixed_64k_pages_matches_golden_fixture() {
 fn quad_mixed_1m_pages_matches_golden_fixture() {
     let cfg = golden_config().with_page_size(1_048_576);
     check_fixture("quad_golden_1m.json", &golden_report(&cfg));
+}
+
+#[test]
+fn quad_mixed_stats_matches_golden_fixture() {
+    let mut cfg = golden_config();
+    cfg.probe = ProbeMode::Stats;
+    check_fixture("quad_golden_stats.json", &golden_report(&cfg));
 }
