@@ -10,11 +10,8 @@
 
 use crate::harness::Harness;
 use crate::prefix::{plan_units, SweepUnit};
-use mnpu_engine::SystemConfig;
+use crate::sweeps::SweepRequest;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// One sweep request: run `workloads[i]` on core *i* of the configuration.
-pub type MixRequest = (SystemConfig, Vec<usize>);
 
 /// Fans sweep requests out across worker threads.
 ///
@@ -62,25 +59,24 @@ impl SweepExecutor {
     /// is one unit of worker parallelism, its members simulated from one
     /// shared prefix. `MNPU_NO_PREFIX_SHARE=1` restores the one-request-
     /// per-unit plan; results are byte-identical either way.
-    pub fn run_mixes(&self, h: &Harness, requests: &[MixRequest]) -> Vec<Vec<u64>> {
+    pub fn run_mixes(&self, h: &Harness, requests: &[SweepRequest]) -> Vec<Vec<u64>> {
         // Dedup by cache key and drop already-memoized runs so workers only
         // see fresh work.
         let mut seen = std::collections::HashSet::new();
-        let todo: Vec<&MixRequest> = requests
+        let todo: Vec<&SweepRequest> = requests
             .iter()
             .filter(|(cfg, ws)| seen.insert(Harness::key(cfg, ws)) && h.cached(cfg, ws).is_none())
             .collect();
         let units = plan_units(todo.iter().map(|(cfg, ws)| (cfg, ws.as_slice())));
 
-        fn run_unit(h: &Harness, todo: &[&MixRequest], unit: &SweepUnit) {
+        fn run_unit(h: &Harness, todo: &[&SweepRequest], unit: &SweepUnit) {
             match unit {
                 SweepUnit::Single(i) => {
                     let (cfg, ws) = todo[*i];
                     h.run_mix(cfg, ws);
                 }
                 SweepUnit::Group(members) => {
-                    let cfgs: Vec<SystemConfig> =
-                        members.iter().map(|&i| todo[i].0.clone()).collect();
+                    let cfgs: Vec<_> = members.iter().map(|&i| todo[i].0.clone()).collect();
                     h.run_mix_group(&cfgs, &todo[members[0]].1);
                 }
             }
@@ -128,7 +124,7 @@ mod tests {
         std::env::set_var("MNPU_NO_CACHE", "1");
         let h = Harness::new();
         let cfg = Harness::dual(SharingLevel::Static);
-        let reqs: Vec<MixRequest> = vec![
+        let reqs: Vec<SweepRequest> = vec![
             (cfg.clone(), vec![6, 6]),
             (cfg.clone(), vec![6, 7]),
             (cfg.clone(), vec![6, 6]), // duplicate

@@ -29,7 +29,7 @@ impl PairTables {
         // against) out across the sweep executor before the serial
         // aggregation below.
         let solo = chip.ideal_solo();
-        let mut reqs: Vec<crate::executor::MixRequest> =
+        let mut reqs: Vec<crate::sweeps::SweepRequest> =
             (0..n).map(|w| (solo.clone(), vec![w])).collect();
         for i in 0..n {
             for j in i..n {

@@ -1,31 +1,24 @@
 //! Figures 4–8: the sharing-level study.
 
-use crate::executor::{MixRequest, SweepExecutor};
+use crate::executor::SweepExecutor;
 use crate::harness::Harness;
+use crate::sweeps::{self, SweepRequest};
 use mnpu_engine::SharingLevel;
 use mnpu_metrics::{fairness, geomean, BoxStats, Cdf};
 use mnpu_predict::mapping::multisets;
 
-/// Run every simulation the dual-core sweep needs (all 36 mixes × 4 co-run
-/// levels, plus the 8 Ideal solos) on the parallel executor, so the serial
-/// aggregation loops below only hit the cache.
+/// Run every simulation the dual-core sweep needs ([`sweeps::fig04`]: all
+/// 36 mixes × 4 co-run levels, plus the 8 Ideal solos) on the parallel
+/// executor, so the serial aggregation loops below only hit the cache.
 fn prefetch_dual(h: &Harness) {
-    let n = h.names().len();
-    let solo = Harness::dual(SharingLevel::Static).ideal_solo();
-    let mut reqs: Vec<MixRequest> = (0..n).map(|w| (solo.clone(), vec![w])).collect();
-    for ws in multisets(n, 2) {
-        for lvl in SharingLevel::CO_RUN_LEVELS {
-            reqs.push((Harness::dual(lvl), ws.clone()));
-        }
-    }
-    SweepExecutor::new().run_mixes(h, &reqs);
+    SweepExecutor::new().run_mixes(h, &sweeps::fig04());
 }
 
 /// Same for the (sampled) quad-core sweep.
 fn prefetch_quad(h: &Harness) {
     let n = h.names().len();
     let solo = Harness::quad(SharingLevel::Static).ideal_solo();
-    let mut reqs: Vec<MixRequest> = (0..n).map(|w| (solo.clone(), vec![w])).collect();
+    let mut reqs: Vec<SweepRequest> = (0..n).map(|w| (solo.clone(), vec![w])).collect();
     for ws in multisets(n, 4).iter().step_by(Harness::quad_stride()) {
         for lvl in SharingLevel::CO_RUN_LEVELS {
             reqs.push((Harness::quad(lvl), ws.clone()));

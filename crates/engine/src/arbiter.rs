@@ -82,7 +82,7 @@ impl<P: Probe> Simulation<P> {
     }
 
     pub(crate) fn enqueue_direct(&mut self, core: usize, paddr: u64, is_write: bool, meta: u64) {
-        match self.memory.enqueue(self.now, core, paddr, is_write, meta) {
+        match self.memory.enqueue(self.now, core, paddr, is_write, meta, &mut self.probe) {
             Ok(()) => {
                 if P::ENABLED {
                     self.probe.record(self.now, Event::DmaGrant { core });
@@ -180,7 +180,11 @@ impl<P: Probe> Simulation<P> {
             let mut remaining = std::mem::take(&mut self.arbiter.retry_scratch);
             debug_assert!(remaining.is_empty());
             while let Some((core, paddr, is_write, meta)) = self.arbiter.dram_retry.pop_front() {
-                if self.memory.enqueue(self.now, core, paddr, is_write, meta).is_err() {
+                if self
+                    .memory
+                    .enqueue(self.now, core, paddr, is_write, meta, &mut self.probe)
+                    .is_err()
+                {
                     if P::ENABLED {
                         self.probe.record(self.now, Event::DmaRetry { core });
                     }
@@ -253,7 +257,14 @@ impl<P: Probe> Simulation<P> {
         if self.mmu.is_none() {
             // Translation disabled: direct mapping, no MMU timing.
             let paddr = self.page_tables[ci].translate(vaddr);
-            match self.memory.enqueue(self.now, ci, paddr, is_write, stage_id as u64) {
+            match self.memory.enqueue(
+                self.now,
+                ci,
+                paddr,
+                is_write,
+                stage_id as u64,
+                &mut self.probe,
+            ) {
                 Ok(()) => {
                     if P::ENABLED {
                         self.probe.record(self.now, Event::DmaGrant { core: ci });
@@ -282,7 +293,14 @@ impl<P: Probe> Simulation<P> {
             self.log(ci, if hit { LogKind::TlbHit } else { LogKind::TlbMiss }, vaddr);
             if hit {
                 let paddr = self.page_tables[ci].translate(vaddr);
-                match self.memory.enqueue(self.now, ci, paddr, is_write, stage_id as u64) {
+                match self.memory.enqueue(
+                    self.now,
+                    ci,
+                    paddr,
+                    is_write,
+                    stage_id as u64,
+                    &mut self.probe,
+                ) {
                     Ok(()) => {
                         if P::ENABLED {
                             self.probe.record(self.now, Event::DmaGrant { core: ci });

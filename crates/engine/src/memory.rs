@@ -59,13 +59,17 @@ pub enum MemoryModel {
 ///    run, and `None` only when the device is completely idle.
 ///
 /// The `P` parameter is the observability probe the backend feeds with
-/// device events (DRAM row outcomes, refreshes, queue depths). With the
-/// default [`NullProbe`] every emission site compiles away; the trait stays
-/// object-safe for any concrete `P`, so the engine holds a
+/// device events (DRAM row outcomes, refreshes, queue depths). A backend
+/// owns no probe: [`enqueue`](MemorySystem::enqueue) and
+/// [`tick`](MemorySystem::tick) borrow the simulation's on every call, as
+/// [`Dram`]'s probed entry points do, so a run has exactly one probe. With
+/// the default [`NullProbe`] every emission site compiles away; the trait
+/// stays object-safe for any concrete `P`, so the engine holds a
 /// `Box<dyn MemorySystem<P>>`.
 pub trait MemorySystem<P: Probe = NullProbe>: std::fmt::Debug + Send {
-    /// Submit a transaction at device cycle `now`. `meta` is an opaque tag
-    /// handed back in the matching [`Completion`].
+    /// Submit a transaction at device cycle `now`, reporting device events
+    /// into `probe`. `meta` is an opaque tag handed back in the matching
+    /// [`Completion`].
     ///
     /// # Errors
     ///
@@ -77,11 +81,12 @@ pub trait MemorySystem<P: Probe = NullProbe>: std::fmt::Debug + Send {
         addr: u64,
         is_write: bool,
         meta: u64,
+        probe: &mut P,
     ) -> Result<(), EnqueueError>;
 
     /// Advance device time to `now`, retiring due transactions into the
-    /// completion buffer.
-    fn tick(&mut self, now: u64);
+    /// completion buffer and reporting device events into `probe`.
+    fn tick(&mut self, now: u64, probe: &mut P);
 
     /// Move all buffered completions into `out` (appending, in service
     /// order), leaving the internal buffer empty but with its capacity
@@ -118,14 +123,9 @@ pub trait MemorySystem<P: Probe = NullProbe>: std::fmt::Debug + Send {
         0
     }
 
-    /// Take the backend's accumulated probe, leaving a fresh default in its
-    /// place. The engine merges this into its own probe when the report is
-    /// assembled; with [`NullProbe`] the call is free.
-    fn take_probe(&mut self) -> P;
-
-    /// Serialize every piece of mutable device state (including the
-    /// backend's probe) into `w`, so a restored simulation's memory system
-    /// is bit-identical to the snapshotted one.
+    /// Serialize every piece of mutable device state into `w`, so a
+    /// restored simulation's memory system is bit-identical to the
+    /// snapshotted one.
     fn save_state(&self, w: &mut Writer);
 
     /// Restore state saved by [`save_state`](MemorySystem::save_state)
@@ -162,33 +162,20 @@ fn load_completions(r: &mut Reader<'_>) -> Result<Vec<Completion>, SnapError> {
 
 /// The banked FR-FCFS DRAM timing model, adapted to [`MemorySystem`].
 #[derive(Debug)]
-pub struct DramMemory<P: Probe = NullProbe> {
+pub struct DramMemory {
     dram: Dram,
     ready: Vec<Completion>,
-    probe: P,
 }
 
-impl DramMemory<NullProbe> {
-    /// Wrap an already-configured [`Dram`] device (uninstrumented).
+impl DramMemory {
+    /// Wrap an already-configured [`Dram`] device.
     pub fn new(dram: Dram) -> Self {
-        DramMemory::with_probe(dram, NullProbe)
+        DramMemory { dram, ready: Vec::new() }
     }
 
     /// Build the device for `cfg`: total channel count, bandwidth tracing,
     /// and — for non-DRAM-sharing levels — the static channel partition.
     pub fn from_config(cfg: &SystemConfig) -> Self {
-        DramMemory::from_config_probed(cfg, NullProbe)
-    }
-}
-
-impl<P: Probe> DramMemory<P> {
-    /// Wrap an already-configured [`Dram`] device, instrumented by `probe`.
-    pub fn with_probe(dram: Dram, probe: P) -> Self {
-        DramMemory { dram, ready: Vec::new(), probe }
-    }
-
-    /// [`DramMemory::from_config`] with an explicit probe.
-    pub fn from_config_probed(cfg: &SystemConfig, probe: P) -> Self {
         let mut dram_cfg = cfg.dram.clone();
         dram_cfg.channels = cfg.total_channels();
         let mut dram = Dram::new(dram_cfg);
@@ -206,11 +193,11 @@ impl<P: Probe> DramMemory<P> {
                 dram.set_core_channels(core, subset);
             }
         }
-        DramMemory::with_probe(dram, probe)
+        DramMemory::new(dram)
     }
 }
 
-impl<P: Probe> MemorySystem<P> for DramMemory<P> {
+impl<P: Probe> MemorySystem<P> for DramMemory {
     fn enqueue(
         &mut self,
         now: u64,
@@ -218,12 +205,13 @@ impl<P: Probe> MemorySystem<P> for DramMemory<P> {
         addr: u64,
         is_write: bool,
         meta: u64,
+        probe: &mut P,
     ) -> Result<(), EnqueueError> {
-        self.dram.try_enqueue_probed(now, core, addr, is_write, meta, &mut self.probe)
+        self.dram.try_enqueue_probed(now, core, addr, is_write, meta, probe)
     }
 
-    fn tick(&mut self, now: u64) {
-        self.dram.advance_into_probed(now, &mut self.ready, &mut self.probe);
+    fn tick(&mut self, now: u64, probe: &mut P) {
+        self.dram.advance_into_probed(now, &mut self.ready, probe);
     }
 
     fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
@@ -257,29 +245,24 @@ impl<P: Probe> MemorySystem<P> for DramMemory<P> {
         self.dram.fastfwd_commits()
     }
 
-    fn take_probe(&mut self) -> P {
-        std::mem::take(&mut self.probe)
-    }
-
     fn save_state(&self, w: &mut Writer) {
         w.tag(MEMORY_TAG);
         self.dram.save_state(w);
         save_completions(w, &self.ready);
-        self.probe.save_state(w);
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         r.tag(MEMORY_TAG)?;
         self.dram.load_state(r)?;
         self.ready = load_completions(r)?;
-        self.probe.load_state(r)
+        Ok(())
     }
 }
 
 /// Fixed-latency, infinite-bandwidth memory: the service time of every
 /// transaction is a constant and requests never queue against each other.
 #[derive(Debug)]
-pub struct IdealMemory<P: Probe = NullProbe> {
+pub struct IdealMemory {
     latency: u64,
     /// In-flight transactions ordered by `(done_at, seq)`; the sequence
     /// number keeps completion order deterministic within a cycle.
@@ -288,23 +271,13 @@ pub struct IdealMemory<P: Probe = NullProbe> {
     seq: u64,
     stats: DramStats,
     trace: Option<BandwidthTrace>,
-    /// Held only so [`MemorySystem::take_probe`] has something to hand
-    /// back — an ideal memory has no row buffers or queues to report on.
-    probe: P,
 }
 
-impl IdealMemory<NullProbe> {
+impl IdealMemory {
     /// A device serving `cores` requesters with a fixed `latency` (DRAM
     /// cycles, clamped to at least 1). `trace_window` enables the windowed
     /// bandwidth trace.
     pub fn new(cores: usize, latency: u64, trace_window: Option<u64>) -> Self {
-        IdealMemory::with_probe(cores, latency, trace_window, NullProbe)
-    }
-}
-
-impl<P: Probe> IdealMemory<P> {
-    /// [`IdealMemory::new`] with an explicit probe.
-    pub fn with_probe(cores: usize, latency: u64, trace_window: Option<u64>, probe: P) -> Self {
         let stats = DramStats {
             // One pseudo-channel so per-channel consumers see the totals.
             per_channel: vec![Default::default()],
@@ -318,12 +291,13 @@ impl<P: Probe> IdealMemory<P> {
             seq: 0,
             stats,
             trace: trace_window.map(|w| BandwidthTrace::new(w, cores)),
-            probe,
         }
     }
 }
 
-impl<P: Probe> MemorySystem<P> for IdealMemory<P> {
+/// An ideal memory has no row buffers or queues, so it reports no device
+/// events: the probe argument is unused.
+impl<P: Probe> MemorySystem<P> for IdealMemory {
     fn enqueue(
         &mut self,
         now: u64,
@@ -331,6 +305,7 @@ impl<P: Probe> MemorySystem<P> for IdealMemory<P> {
         addr: u64,
         is_write: bool,
         meta: u64,
+        _probe: &mut P,
     ) -> Result<(), EnqueueError> {
         let done_at = now + self.latency;
         self.in_flight.push(Reverse((done_at, self.seq, core, addr, is_write, meta)));
@@ -350,7 +325,7 @@ impl<P: Probe> MemorySystem<P> for IdealMemory<P> {
         Ok(())
     }
 
-    fn tick(&mut self, now: u64) {
+    fn tick(&mut self, now: u64, _probe: &mut P) {
         while let Some(&Reverse((done_at, _, core, addr, is_write, meta))) = self.in_flight.peek() {
             if done_at > now {
                 break;
@@ -389,10 +364,6 @@ impl<P: Probe> MemorySystem<P> for IdealMemory<P> {
         self.trace.clone()
     }
 
-    fn take_probe(&mut self) -> P {
-        std::mem::take(&mut self.probe)
-    }
-
     fn save_state(&self, w: &mut Writer) {
         w.tag(MEMORY_TAG);
         w.u64(self.latency);
@@ -427,7 +398,6 @@ impl<P: Probe> MemorySystem<P> for IdealMemory<P> {
         }
         w.seq(&self.stats.per_core_bytes, |w, &b| w.u64(b));
         w.opt(&self.trace, |w, t| t.save_state(w));
-        self.probe.save_state(w);
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
@@ -461,17 +431,17 @@ impl<P: Probe> MemorySystem<P> for IdealMemory<P> {
             return Err(SnapError::BadValue("bandwidth trace enablement mismatch"));
         }
         self.trace = trace;
-        self.probe.load_state(r)
+        Ok(())
     }
 }
 
-/// Build the backend selected by `cfg.memory`, instrumented by a fresh
-/// `P::default()` probe.
+/// Build the backend selected by `cfg.memory`, reporting into whichever
+/// probe the simulation hands each call.
 pub(crate) fn build_memory<P: Probe>(cfg: &SystemConfig) -> Box<dyn MemorySystem<P>> {
     match cfg.memory {
-        MemoryModel::Timing => Box::new(DramMemory::from_config_probed(cfg, P::default())),
+        MemoryModel::Timing => Box::new(DramMemory::from_config(cfg)),
         MemoryModel::Ideal { latency } => {
-            Box::new(IdealMemory::with_probe(cfg.cores, latency, cfg.trace_window, P::default()))
+            Box::new(IdealMemory::new(cfg.cores, latency, cfg.trace_window))
         }
     }
 }
@@ -483,7 +453,7 @@ mod tests {
     fn drive(mem: &mut dyn MemorySystem, until: u64) -> Vec<Completion> {
         let mut all = Vec::new();
         for now in 0..=until {
-            mem.tick(now);
+            mem.tick(now, &mut NullProbe);
             all.extend(mem.drain_completions());
         }
         all
@@ -491,11 +461,11 @@ mod tests {
 
     #[test]
     fn ideal_memory_fixed_latency() {
-        let mut mem = IdealMemory::new(2, 10, None);
-        mem.enqueue(0, 0, 0x40, false, 7).unwrap();
-        mem.enqueue(3, 1, 0x80, true, 8).unwrap();
+        let mem: &mut dyn MemorySystem = &mut IdealMemory::new(2, 10, None);
+        mem.enqueue(0, 0, 0x40, false, 7, &mut NullProbe).unwrap();
+        mem.enqueue(3, 1, 0x80, true, 8, &mut NullProbe).unwrap();
         assert_eq!(mem.next_event_cycle(), Some(10));
-        let done = drive(&mut mem, 20);
+        let done = drive(mem, 20);
         assert_eq!(done.len(), 2);
         assert_eq!((done[0].meta, done[0].completed_at), (7, 10));
         assert_eq!((done[1].meta, done[1].completed_at), (8, 13));
@@ -504,21 +474,21 @@ mod tests {
 
     #[test]
     fn ideal_memory_never_rejects() {
-        let mut mem = IdealMemory::new(1, 5, None);
+        let mem: &mut dyn MemorySystem = &mut IdealMemory::new(1, 5, None);
         for i in 0..10_000u64 {
-            assert!(mem.enqueue(0, 0, i * 64, i % 2 == 0, i).is_ok());
+            assert!(mem.enqueue(0, 0, i * 64, i % 2 == 0, i, &mut NullProbe).is_ok());
         }
         assert_eq!(mem.pending(), 10_000);
-        let done = drive(&mut mem, 5);
+        let done = drive(mem, 5);
         assert_eq!(done.len(), 10_000, "infinite bandwidth: all complete together");
     }
 
     #[test]
     fn ideal_memory_counts_stats() {
-        let mut mem = IdealMemory::new(2, 4, Some(8));
-        mem.enqueue(0, 0, 0x0, false, 0).unwrap();
-        mem.enqueue(0, 1, 0x40, true, 1).unwrap();
-        drive(&mut mem, 8);
+        let mem: &mut dyn MemorySystem = &mut IdealMemory::new(2, 4, Some(8));
+        mem.enqueue(0, 0, 0x0, false, 0, &mut NullProbe).unwrap();
+        mem.enqueue(0, 1, 0x40, true, 1, &mut NullProbe).unwrap();
+        drive(mem, 8);
         let s = mem.stats();
         assert_eq!(s.total.reads, 1);
         assert_eq!(s.total.writes, 1);

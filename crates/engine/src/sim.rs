@@ -242,8 +242,9 @@ impl Simulation<NullProbe> {
 }
 
 impl<P: Probe> Simulation<P> {
-    /// Build a simulation instrumented by `probe`; the memory backend gets
-    /// its own `P::default()` probe, merged into this one at report time.
+    /// Build a simulation instrumented by `probe`: the one probe of the
+    /// run, fed by the engine and lent to the memory backend on every
+    /// call.
     ///
     /// # Panics
     ///
@@ -360,7 +361,7 @@ impl<P: Probe> Simulation<P> {
             self.handle_completion(meta, core);
         }
 
-        self.memory.tick(self.now);
+        self.memory.tick(self.now, &mut self.probe);
         // Reused drain buffer: taken out for the duration of the walk
         // because `handle_completion` needs `&mut self`.
         let mut ready = std::mem::take(&mut self.completion_buf);
@@ -755,11 +756,8 @@ impl<P: Probe> Simulation<P> {
         // counter feeds the daemon's `/metrics`, never the report.
         mnpu_trace::counters::add_fastfwd_commits(self.memory.fastfwd_commits());
         let total_cycles = self.cores.iter().filter_map(|c| c.finished_at).max().unwrap_or(0);
-        // Merge the memory backend's probe into the engine's, then freeze.
         let stats = if P::ENABLED {
-            let mut probe = std::mem::take(&mut self.probe);
-            probe.merge(self.memory.take_probe());
-            probe.into_report().map(|mut r| {
+            std::mem::take(&mut self.probe).into_report().map(|mut r| {
                 // `active_cycles` is set from the engine's own clock rather
                 // than integrated from samples, so the stall-sum invariant
                 // (four buckets == active cycles) is a genuine cross-check.

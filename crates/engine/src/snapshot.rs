@@ -4,7 +4,7 @@
 //! event loop can observe — per-core pipeline state, DMA stages, walk
 //! parking lots, arbitration pointers, page tables, MMU, NoC links and
 //! in-flight queues, the request log, the memory backend (including its
-//! probe and fast-forward caches) and the engine's own probe — into a
+//! fast-forward caches) and the simulation's one probe — into a
 //! versioned [`SimSnapshot`]. [`Simulation::restore`] reinstates it into a
 //! *freshly built* simulation of the same configuration and workloads;
 //! resuming from the restored state then yields a byte-identical

@@ -29,7 +29,7 @@ pub enum ProbeMode {
 /// Evaluate `$body` with the type alias `$P` bound to the concrete probe
 /// a [`ProbeMode`] selects: [`ProbeMode::None`] → [`mnpu_probe::NullProbe`],
 /// [`ProbeMode::Stats`] → [`mnpu_probe::StatsProbe`],
-/// [`ProbeMode::Flight`] → [`mnpu_trace::FlightProbe`]`<NullProbe>`.
+/// [`ProbeMode::Flight`] → [`mnpu_trace::FlightProbe`].
 ///
 /// This is the one place that mapping is written; every driver that turns
 /// a configuration into a monomorphized simulation goes through it.
@@ -53,7 +53,7 @@ macro_rules! dispatch_probe {
                 $body
             }
             $crate::ProbeMode::Flight => {
-                type $P = $crate::FlightProbe<$crate::NullProbe>;
+                type $P = $crate::FlightProbe;
                 $body
             }
         }
@@ -126,6 +126,9 @@ pub enum ConfigError {
     },
     /// `iterations` is zero.
     ZeroIterations,
+    /// `trace_window` is `Some(0)`: the bandwidth trace needs a positive
+    /// window.
+    ZeroTraceWindow,
 }
 
 impl fmt::Display for ConfigError {
@@ -157,6 +160,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "start_cycles has {got} entries; must be empty or {expected}")
             }
             ConfigError::ZeroIterations => write!(f, "iterations must be positive"),
+            ConfigError::ZeroTraceWindow => write!(f, "trace_window must be positive"),
         }
     }
 }
@@ -440,6 +444,9 @@ impl SystemConfig {
         }
         if self.iterations == 0 {
             return Err(ConfigError::ZeroIterations);
+        }
+        if self.trace_window == Some(0) {
+            return Err(ConfigError::ZeroTraceWindow);
         }
         Ok(())
     }

@@ -160,6 +160,15 @@ fn zero_iterations() {
 }
 
 #[test]
+fn zero_trace_window() {
+    let mut cfg = base(1, SharingLevel::PlusDwt);
+    cfg.trace_window = Some(0);
+    let e = build(cfg).unwrap_err();
+    assert_eq!(e, ConfigError::ZeroTraceWindow);
+    assert_eq!(e.to_string(), "trace_window must be positive");
+}
+
+#[test]
 fn presets_build_clean() {
     for cores in [1, 2, 4] {
         for sharing in

@@ -107,24 +107,6 @@ impl Histogram {
             min: r.u64()?,
         })
     }
-
-    /// Fold `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.min = match (self.count, other.count) {
-            (_, 0) => self.min,
-            (0, _) => other.min,
-            _ => self.min.min(other.min),
-        };
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -162,29 +144,6 @@ mod tests {
         assert_eq!(Histogram::bucket_bounds(1), (1, 1));
         assert_eq!(Histogram::bucket_bounds(3), (4, 7));
         assert_eq!(Histogram::bucket_bounds(64).1, u64::MAX);
-    }
-
-    #[test]
-    fn merge_is_addition() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        a.record(5);
-        b.record(500);
-        b.record(0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 505);
-        assert_eq!(a.max(), 500);
-        assert_eq!(a.min(), 0);
-
-        let empty = Histogram::default();
-        let mut c = Histogram::default();
-        c.record(9);
-        c.merge(&empty);
-        assert_eq!(c.min(), 9, "merging an empty histogram must not clobber min");
-        let mut d = Histogram::default();
-        d.merge(&c);
-        assert_eq!(d.min(), 9, "merging into an empty histogram adopts the other min");
     }
 
     proptest! {

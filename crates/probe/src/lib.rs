@@ -12,9 +12,11 @@
 //! a cycle-exact per-core stall breakdown, and phase spans exportable as a
 //! Chrome `chrome://tracing` timeline.
 //!
-//! The two halves of a simulation (the engine-side probe and the
-//! memory-system-side probe) are merged with [`Probe::merge`] when the run
-//! report is assembled, and surface as a [`StatsReport`].
+//! A simulation owns exactly one probe. The engine records into it
+//! directly and lends it to the memory system on every call, so DRAM row
+//! outcomes and the engine's own events land in the same aggregate, which
+//! [`Probe::into_report`] freezes into a [`StatsReport`] when the run
+//! report is assembled.
 //!
 //! The crate holds simulation events only, stamped in simulated cycles.
 //! The wall-clock lifecycle of a daemon job around a run lives above it:
@@ -253,10 +255,6 @@ pub trait Probe: std::fmt::Debug + Clone + Send + Default + 'static {
     /// Record one event at `cycle` (global DRAM-clock cycles).
     fn record(&mut self, cycle: u64, event: Event);
 
-    /// Fold another probe of the same type into this one (the engine-side
-    /// and memory-side halves of a run are merged at report time).
-    fn merge(&mut self, other: Self);
-
     /// Finalize into a [`StatsReport`]; `None` for probes that aggregate
     /// nothing.
     fn into_report(self) -> Option<StatsReport>;
@@ -308,9 +306,6 @@ impl Probe for NullProbe {
     #[inline(always)]
     fn record(&mut self, _cycle: u64, _event: Event) {}
 
-    #[inline(always)]
-    fn merge(&mut self, _other: Self) {}
-
     fn into_report(self) -> Option<StatsReport> {
         None
     }
@@ -336,7 +331,6 @@ mod tests {
         const { assert!(!NullProbe::ENABLED) }
         let mut p = NullProbe;
         p.record(0, Event::TlbHit { core: 0 });
-        p.merge(NullProbe);
         assert_eq!(p.into_report(), None);
         assert_eq!(std::mem::size_of::<NullProbe>(), 0);
     }

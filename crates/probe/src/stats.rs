@@ -31,22 +31,16 @@ impl StallBreakdown {
         self.compute + self.wait_translation + self.wait_load + self.wait_store
     }
 
-    fn bucket_mut(&mut self, state: CoreState) -> Option<&mut u64> {
+    /// Attribute `cycles` spent in `state` to its category. `Idle` and
+    /// `Finished` cycles are not active cycles and count nowhere.
+    pub fn add(&mut self, state: CoreState, cycles: u64) {
         match state {
-            CoreState::Compute => Some(&mut self.compute),
-            CoreState::WaitTranslation => Some(&mut self.wait_translation),
-            CoreState::WaitLoad => Some(&mut self.wait_load),
-            CoreState::WaitStore => Some(&mut self.wait_store),
-            CoreState::Idle | CoreState::Finished => None,
+            CoreState::Compute => self.compute += cycles,
+            CoreState::WaitTranslation => self.wait_translation += cycles,
+            CoreState::WaitLoad => self.wait_load += cycles,
+            CoreState::WaitStore => self.wait_store += cycles,
+            CoreState::Idle | CoreState::Finished => {}
         }
-    }
-
-    /// Fold `other` into `self`.
-    pub fn merge(&mut self, other: &StallBreakdown) {
-        self.compute += other.compute;
-        self.wait_translation += other.wait_translation;
-        self.wait_load += other.wait_load;
-        self.wait_store += other.wait_store;
     }
 }
 
@@ -107,34 +101,6 @@ impl CoreStats {
         }
         self.row_hits as f64 / t as f64
     }
-
-    fn merge(&mut self, other: &CoreStats) {
-        self.active_cycles += other.active_cycles;
-        self.stall.merge(&other.stall);
-        self.tlb_hits += other.tlb_hits;
-        self.tlb_misses += other.tlb_misses;
-        self.tlb_evictions += other.tlb_evictions;
-        self.walks_started += other.walks_started;
-        self.walks_done += other.walks_done;
-        self.walker_stalls += other.walker_stalls;
-        self.dma_grants += other.dma_grants;
-        self.dma_retries += other.dma_retries;
-        self.row_hits += other.row_hits;
-        self.row_misses += other.row_misses;
-        self.row_conflicts += other.row_conflicts;
-        self.walk_latency.merge(&other.walk_latency);
-        merge_series(&mut self.epoch_dram_txns, &other.epoch_dram_txns);
-        merge_series(&mut self.epoch_tlb_misses, &other.epoch_tlb_misses);
-    }
-}
-
-fn merge_series(a: &mut Vec<u64>, b: &[u64]) {
-    if a.len() < b.len() {
-        a.resize(b.len(), 0);
-    }
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += y;
-    }
 }
 
 /// Chip-level DRAM contention aggregates.
@@ -165,16 +131,6 @@ impl DramContention {
             return 0.0;
         }
         self.row_hits as f64 / t as f64
-    }
-
-    fn merge(&mut self, other: &DramContention) {
-        self.row_hits += other.row_hits;
-        self.row_misses += other.row_misses;
-        self.row_conflicts += other.row_conflicts;
-        self.refreshes += other.refreshes;
-        self.issues += other.issues;
-        self.queue_residency.merge(&other.queue_residency);
-        self.queue_depth.merge(&other.queue_depth);
     }
 }
 
@@ -221,15 +177,6 @@ pub struct SchedStats {
     pub completions: u64,
     /// Queue occupancy sampled at every arrival and dispatch.
     pub queue_depth: Histogram,
-}
-
-impl SchedStats {
-    fn merge(&mut self, other: &SchedStats) {
-        self.arrivals += other.arrivals;
-        self.dispatches += other.dispatches;
-        self.completions += other.completions;
-        self.queue_depth.merge(&other.queue_depth);
-    }
 }
 
 /// Everything a [`StatsProbe`] aggregated over one run.
@@ -541,9 +488,7 @@ impl Probe for StatsProbe {
                 let (prev, since) = (t.state, t.since);
                 t.state = state;
                 t.since = cycle;
-                if let Some(b) = self.report.cores[core].stall.bucket_mut(prev) {
-                    *b += cycle - since;
-                }
+                self.report.cores[core].stall.add(prev, cycle - since);
             }
             Event::JobArrive { job, queue_depth } => {
                 self.report.sched.arrivals += 1;
@@ -571,20 +516,6 @@ impl Probe for StatsProbe {
                 }
             }
         }
-    }
-
-    fn merge(&mut self, other: Self) {
-        let n = self.report.cores.len().max(other.report.cores.len());
-        if n > 0 {
-            self.core_mut(n - 1);
-        }
-        for (i, c) in other.report.cores.iter().enumerate() {
-            self.report.cores[i].merge(c);
-        }
-        self.report.dram.merge(&other.report.dram);
-        self.report.spans.extend(other.report.spans);
-        self.report.jobs.extend(other.report.jobs);
-        self.report.sched.merge(&other.report.sched);
     }
 
     fn into_report(mut self) -> Option<StatsReport> {
@@ -766,14 +697,14 @@ mod tests {
 
     #[test]
     fn merge_sums_both_halves() {
-        let mut engine = StatsProbe::default();
-        engine.record(0, Event::TlbMiss { core: 0 });
-        engine.record(1, Event::TlbHit { core: 0 });
-        let mut dram = StatsProbe::default();
-        dram.record(5, Event::DramRowConflict { channel: 0, core: 0, residency: 12 });
-        dram.record(6, Event::DramRowHit { channel: 1, core: 1, residency: 2 });
-        engine.merge(dram);
-        let r = engine.into_report().unwrap();
+        // Engine-side and DRAM-side events of one run land in the one
+        // probe the simulation owns.
+        let mut p = StatsProbe::default();
+        p.record(0, Event::TlbMiss { core: 0 });
+        p.record(1, Event::TlbHit { core: 0 });
+        p.record(5, Event::DramRowConflict { channel: 0, core: 0, residency: 12 });
+        p.record(6, Event::DramRowHit { channel: 1, core: 1, residency: 2 });
+        let r = p.into_report().unwrap();
         assert_eq!(r.cores.len(), 2);
         assert_eq!(r.cores[0].tlb_misses, 1);
         assert_eq!(r.cores[0].row_conflicts, 1);
@@ -873,20 +804,5 @@ mod tests {
         bytes[0] = 0xFF; // clobber the section tag
         let mut q = StatsProbe::default();
         assert!(q.load_state(&mut Reader::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn merge_combines_job_spans_and_sched_counters() {
-        let mut a = StatsProbe::default();
-        a.record(0, Event::JobArrive { job: 0, queue_depth: 1 });
-        a.record(0, Event::JobDispatch { job: 0, core: 0, queue_depth: 0 });
-        a.record(10, Event::JobComplete { job: 0, core: 0 });
-        let mut b = StatsProbe::default();
-        b.record(3, Event::JobArrive { job: 1, queue_depth: 1 });
-        a.merge(b);
-        let r = a.into_report().unwrap();
-        assert_eq!(r.jobs.len(), 1);
-        assert_eq!(r.sched.arrivals, 2);
-        assert_eq!(r.sched.completions, 1);
     }
 }

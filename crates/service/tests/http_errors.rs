@@ -90,6 +90,22 @@ fn unknown_workload_is_400_with_the_zoo_listing() {
 }
 
 #[test]
+fn zero_trace_window_is_400_not_a_worker_death() {
+    let svc = Service::start(ServiceConfig::default()).unwrap();
+    let addr = svc.addr();
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/v1/jobs",
+        r#"{"kind":"networks","cores":1,"sharing":"ideal","networks":["ncf"],"trace_window":0}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("trace_window must be positive"), "{body}");
+    assert_serviceable(addr);
+    svc.shutdown();
+}
+
+#[test]
 fn oversize_body_is_413_without_reading_the_payload() {
     let cfg = ServiceConfig { body_limit: 1024, ..ServiceConfig::default() };
     let svc = Service::start(cfg).unwrap();

@@ -346,80 +346,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A value type that snapshots itself through the codec. Stateful
-/// components with structural fields instead expose `save_state` /
-/// `load_state` methods that restore into a prebuilt instance.
-pub trait Snap: Sized {
-    /// Serialize into `w`.
-    fn save(&self, w: &mut Writer);
-    /// Deserialize from `r`.
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError>;
-}
-
-impl Snap for u64 {
-    fn save(&self, w: &mut Writer) {
-        w.u64(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        r.u64()
-    }
-}
-
-impl Snap for usize {
-    fn save(&self, w: &mut Writer) {
-        w.usize(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        r.usize()
-    }
-}
-
-impl Snap for bool {
-    fn save(&self, w: &mut Writer) {
-        w.bool(*self);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        r.bool()
-    }
-}
-
-impl<A: Snap, B: Snap> Snap for (A, B) {
-    fn save(&self, w: &mut Writer) {
-        self.0.save(w);
-        self.1.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok((A::load(r)?, B::load(r)?))
-    }
-}
-
-impl<T: Snap> Snap for Vec<T> {
-    fn save(&self, w: &mut Writer) {
-        w.usize(self.len());
-        for x in self {
-            x.save(w);
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        r.seq(T::load)
-    }
-}
-
-impl<T: Snap> Snap for Option<T> {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            Some(x) => {
-                w.bool(true);
-                x.save(w);
-            }
-            None => w.bool(false),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        r.opt(T::load)
-    }
-}
-
 /// A complete simulation checkpoint: versioned header plus the opaque
 /// component payload written by `Simulation::snapshot`.
 ///
@@ -716,10 +642,10 @@ mod tests {
         #[test]
         fn prop_u64_round_trip(vs in proptest::collection::vec(0u64..u64::MAX, 0..64)) {
             let mut w = Writer::new();
-            vs.save(&mut w);
+            w.seq(&vs, |w, &v| w.u64(v));
             let bytes = w.finish();
             let mut r = Reader::new(&bytes);
-            prop_assert_eq!(Vec::<u64>::load(&mut r).unwrap(), vs);
+            prop_assert_eq!(r.seq(|r| r.u64()).unwrap(), vs);
             r.done().unwrap();
         }
     }

@@ -19,9 +19,9 @@
 //!
 //! The engine feeds a handle through [`FlightProbe`], which splits the
 //! probe taxonomy by frequency — dense events become counters, structural
-//! events enter the ring. Because the engine builds its memory-side probe
-//! via `Default` on the driving thread, a job installs its handle
-//! thread-locally ([`install`]) so both probe halves share one ring.
+//! events enter the ring. A simulation's probe is built via `Default` on
+//! the thread that runs it, so a job installs its handle thread-locally
+//! ([`install`]) and the probe binds to it.
 //!
 //! Everything here is determinism-neutral by construction: wall-clock
 //! readings live only in telemetry, never in simulation state, reports or
@@ -38,7 +38,7 @@ mod recorder;
 
 pub use chrome::chrome_trace;
 pub use probe::FlightProbe;
-pub use progress::{JobPhase, ProgressCell, ProgressSnapshot, StallSnapshot, TrafficSnapshot};
+pub use progress::{JobPhase, ProgressCell, ProgressSnapshot, TrafficSnapshot};
 pub use recorder::{FlightEvent, FlightKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 
 use std::cell::RefCell;
@@ -143,16 +143,6 @@ impl TraceHandle {
     pub fn same_ring(&self, other: &TraceHandle) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
-
-    /// Fold the surviving events of `other`'s ring into this one (used at
-    /// probe-merge time when the two halves recorded separately).
-    pub fn merge_ring_from(&self, other: &TraceHandle) {
-        if self.same_ring(other) {
-            return;
-        }
-        let theirs = other.0.recorder.lock().unwrap().clone();
-        self.0.recorder.lock().unwrap().absorb(&theirs);
-    }
 }
 
 thread_local! {
@@ -161,8 +151,8 @@ thread_local! {
 
 /// Install `handle` as this thread's ambient telemetry sink for the
 /// guard's lifetime. While installed, every [`FlightProbe`] constructed
-/// via `Default` on this thread binds to it — including the memory-side
-/// probe the engine builds internally. The previous handle (if any) is
+/// via `Default` on this thread binds to it — the probe every run on this
+/// thread builds for its simulation. The previous handle (if any) is
 /// restored on drop, so installs nest, and the guard restores on unwind.
 pub fn install(handle: &TraceHandle) -> InstallGuard {
     let prev = INSTALLED.with(|slot| slot.replace(Some(handle.clone())));
@@ -255,10 +245,6 @@ mod tests {
         c.record(5, FlightKind::Refresh, 0, 0);
         assert!(h.same_ring(&c));
         assert_eq!(h.events().len(), 1);
-        let other = TraceHandle::new();
-        other.record(1, FlightKind::Refresh, 1, 0);
-        assert!(!h.same_ring(&other));
-        h.merge_ring_from(&other);
-        assert_eq!(h.events().len(), 2);
+        assert!(!h.same_ring(&TraceHandle::new()));
     }
 }

@@ -10,54 +10,51 @@
 //! per tile — and go to the ring under its mutex. That split is what
 //! keeps the recorder cheap enough for the CI overhead gate.
 //!
-//! Determinism neutrality: `save_state`/`load_state`/`into_report`
-//! delegate to the wrapped inner probe, so checkpoints and `RunReport`s
-//! are byte-identical to an untraced run. Wall-clock readings exist only
-//! inside the telemetry handle.
+//! Determinism neutrality: the probe saves and loads nothing and reports
+//! no stats, so checkpoints and `RunReport`s are byte-identical to a
+//! [`mnpu_probe::NullProbe`] run. Wall-clock readings exist only inside
+//! the telemetry handle.
 
-use crate::progress::{StallSnapshot, TrafficSnapshot};
+use crate::progress::TrafficSnapshot;
 use crate::recorder::FlightKind;
 use crate::TraceHandle;
-use mnpu_probe::{CoreState, Event, NullProbe, Probe, StatsReport};
+use mnpu_probe::{CoreState, Event, Probe, StallBreakdown, StatsReport};
 
 /// Dense-event deltas are pushed to the handle's atomics every
 /// `1 << PUBLISH_SHIFT` cycles — the same granularity as the job driver's
 /// poll loop, so a `/progress` read after a poll sees fresh attribution.
 const PUBLISH_SHIFT: u32 = 16;
 
-/// A probe that records flight events and live progress while delegating
-/// report/checkpoint behaviour to an inner probe (default: none).
+/// A probe that records flight events and live progress. It aggregates
+/// nothing into the run report and carries no checkpoint state.
 #[derive(Debug, Clone)]
-pub struct FlightProbe<P: Probe = NullProbe> {
-    inner: P,
+pub struct FlightProbe {
     handle: TraceHandle,
     /// Per-core (current state, since-cycle) for stall integration.
     states: Vec<(CoreState, u64)>,
-    stall: StallSnapshot,
+    stall: StallBreakdown,
     traffic: TrafficSnapshot,
     last_window: u64,
     max_cycle: u64,
 }
 
-impl<P: Probe> Default for FlightProbe<P> {
-    /// Binds to the telemetry handle installed on this thread (the
-    /// engine builds its memory-side probe via `Default` on the driving
-    /// thread, so both halves share one ring), or a private handle when
-    /// none is installed — recording always happens, so benchmarks
-    /// measure its true cost.
+impl Default for FlightProbe {
+    /// Binds to the telemetry handle installed on this thread (a
+    /// simulation's probe is built via `Default` on the thread that runs
+    /// it), or a private handle when none is installed — recording always
+    /// happens, so benchmarks measure its true cost.
     fn default() -> Self {
         FlightProbe::with_handle(crate::installed().unwrap_or_default())
     }
 }
 
-impl<P: Probe> FlightProbe<P> {
+impl FlightProbe {
     /// A probe publishing into `handle`.
     pub fn with_handle(handle: TraceHandle) -> Self {
         FlightProbe {
-            inner: P::default(),
             handle,
             states: Vec::new(),
-            stall: StallSnapshot::default(),
+            stall: StallBreakdown::default(),
             traffic: TrafficSnapshot::default(),
             last_window: 0,
             max_cycle: 0,
@@ -74,20 +71,13 @@ impl<P: Probe> FlightProbe<P> {
             self.states.resize(core + 1, (CoreState::Idle, cycle));
         }
         let (prev, since) = self.states[core];
-        let span = cycle.saturating_sub(since);
-        match prev {
-            CoreState::Compute => self.stall.compute += span,
-            CoreState::WaitTranslation => self.stall.wait_translation += span,
-            CoreState::WaitLoad => self.stall.wait_load += span,
-            CoreState::WaitStore => self.stall.wait_store += span,
-            CoreState::Idle | CoreState::Finished => {}
-        }
+        self.stall.add(prev, cycle.saturating_sub(since));
         self.states[core] = (state, cycle);
     }
 
     /// Push the accumulated dense-event deltas to the handle's atomics.
     fn flush(&mut self) {
-        if self.stall != StallSnapshot::default() {
+        if self.stall != StallBreakdown::default() {
             self.handle.progress().add_stall(&std::mem::take(&mut self.stall));
         }
         if self.traffic != TrafficSnapshot::default() {
@@ -106,13 +96,10 @@ impl<P: Probe> FlightProbe<P> {
     }
 }
 
-impl<P: Probe> Probe for FlightProbe<P> {
+impl Probe for FlightProbe {
     const ENABLED: bool = true;
 
     fn record(&mut self, cycle: u64, event: Event) {
-        if P::ENABLED {
-            self.inner.record(cycle, event);
-        }
         self.max_cycle = self.max_cycle.max(cycle);
         match event {
             // Dense events: counter bumps and stall integration only.
@@ -158,42 +145,20 @@ impl<P: Probe> Probe for FlightProbe<P> {
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        // The memory-side half never samples core states, so only the
-        // dense counters and (if unshared) its ring need folding in.
-        self.stall.compute += other.stall.compute;
-        self.stall.wait_translation += other.stall.wait_translation;
-        self.stall.wait_load += other.stall.wait_load;
-        self.stall.wait_store += other.stall.wait_store;
-        self.traffic.dram_txns += other.traffic.dram_txns;
-        self.traffic.tlb_hits += other.traffic.tlb_hits;
-        self.traffic.tlb_misses += other.traffic.tlb_misses;
-        self.traffic.walks += other.traffic.walks;
-        self.traffic.dma_retries += other.traffic.dma_retries;
-        self.traffic.walker_stalls += other.traffic.walker_stalls;
-        self.max_cycle = self.max_cycle.max(other.max_cycle);
-        if !self.handle.same_ring(other.handle()) {
-            self.handle.merge_ring_from(other.handle());
-        }
-        self.inner.merge(other.inner);
-    }
-
     fn into_report(mut self) -> Option<StatsReport> {
         self.finalize();
-        self.inner.into_report()
+        None
     }
 
-    fn save_state(&self, w: &mut mnpu_snapshot::Writer) {
-        // Telemetry is not simulation state: checkpoints written through a
-        // flight probe are byte-identical to the inner probe's alone.
-        self.inner.save_state(w);
-    }
+    // Telemetry is not simulation state: checkpoints written through a
+    // flight probe are byte-identical to a `NullProbe` run's.
+    fn save_state(&self, _w: &mut mnpu_snapshot::Writer) {}
 
     fn load_state(
         &mut self,
-        r: &mut mnpu_snapshot::Reader<'_>,
+        _r: &mut mnpu_snapshot::Reader<'_>,
     ) -> Result<(), mnpu_snapshot::SnapError> {
-        self.inner.load_state(r)
+        Ok(())
     }
 }
 
@@ -205,7 +170,7 @@ mod tests {
     #[test]
     fn dense_events_publish_at_window_boundaries() {
         let handle = TraceHandle::new();
-        let mut p: FlightProbe = FlightProbe::with_handle(handle.clone());
+        let mut p = FlightProbe::with_handle(handle.clone());
         p.record(10, Event::TlbHit { core: 0 });
         p.record(20, Event::TlbMiss { core: 0 });
         p.record(30, Event::DramRowHit { channel: 0, core: 0, residency: 5 });
@@ -222,7 +187,7 @@ mod tests {
     #[test]
     fn core_state_samples_integrate_into_stall_attribution() {
         let handle = TraceHandle::new();
-        let mut p: FlightProbe = FlightProbe::with_handle(handle.clone());
+        let mut p = FlightProbe::with_handle(handle.clone());
         p.record(0, Event::CoreState { core: 0, state: CoreState::Compute });
         p.record(100, Event::CoreState { core: 0, state: CoreState::WaitLoad });
         p.record(150, Event::CoreState { core: 0, state: CoreState::Finished });
@@ -235,7 +200,7 @@ mod tests {
     #[test]
     fn structural_events_land_in_the_ring() {
         let handle = TraceHandle::new();
-        let mut p: FlightProbe = FlightProbe::with_handle(handle.clone());
+        let mut p = FlightProbe::with_handle(handle.clone());
         p.record(100, Event::PhaseBegin { core: 2, phase: Phase::Load, id: 7 });
         p.record(200, Event::PhaseEnd { core: 2, phase: Phase::Load, id: 7 });
         p.record(300, Event::DramRefresh { channel: 1 });
@@ -247,31 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_absorbs_an_unshared_ring_and_counters() {
-        let handle = TraceHandle::new();
-        let mut engine_side: FlightProbe = FlightProbe::with_handle(handle.clone());
-        let mut memory_side: FlightProbe = FlightProbe::with_handle(TraceHandle::new());
-        engine_side.record(100, Event::PhaseBegin { core: 0, phase: Phase::Compute, id: 0 });
-        memory_side.record(50, Event::DramRefresh { channel: 0 });
-        memory_side.record(10, Event::DramRowHit { channel: 0, core: 0, residency: 1 });
-        engine_side.merge(memory_side);
-        let cycles: Vec<u64> = handle.events().iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![50, 100]);
-        assert_eq!(engine_side.into_report(), None);
-        assert_eq!(handle.progress().snapshot().traffic.dram_txns, 1);
-    }
-
-    #[test]
     fn default_binds_the_installed_handle() {
         let handle = TraceHandle::new();
         let bound = {
             let _guard = crate::install(&handle);
-            let p: FlightProbe = FlightProbe::default();
+            let p = FlightProbe::default();
             p.handle().same_ring(&handle)
         };
         assert!(bound);
         // Outside the guard a fresh default gets a private ring.
-        let p: FlightProbe = FlightProbe::default();
+        let p = FlightProbe::default();
         assert!(!p.handle().same_ring(&handle));
     }
 }

@@ -12,6 +12,7 @@
 //! The cell also carries the job's [`JobPhase`], the daemon lifecycle step
 //! that the flight ring records too.
 
+use mnpu_probe::StallBreakdown;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// One step in a daemon job's lifecycle, as the flight ring and the
@@ -84,20 +85,6 @@ impl JobPhase {
     }
 }
 
-/// Per-component stall attribution, in simulated cycles, integrated from
-/// the engine's `CoreState` samples (summed over cores).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StallSnapshot {
-    /// Cycles with the systolic array busy.
-    pub compute: u64,
-    /// Cycles stalled on address translation (shared-TLB/PTW pressure).
-    pub wait_translation: u64,
-    /// Cycles stalled on tile loads (DRAM pressure).
-    pub wait_load: u64,
-    /// Cycles stalled draining stores.
-    pub wait_store: u64,
-}
-
 /// Dense-event traffic counters (the events too frequent to ring-buffer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficSnapshot {
@@ -128,8 +115,8 @@ pub struct ProgressSnapshot {
     pub wall_ms: u64,
     /// Simulated cycles per wall-clock second, cumulative over the run.
     pub cycles_per_sec: f64,
-    /// Stall attribution so far.
-    pub stall: StallSnapshot,
+    /// Stall attribution so far, in simulated cycles summed over cores.
+    pub stall: StallBreakdown,
     /// Traffic counters so far.
     pub traffic: TrafficSnapshot,
     /// Sweep jobs: simulations finished so far (0 for facade jobs).
@@ -197,7 +184,7 @@ impl ProgressCell {
     }
 
     /// Fold stall-attribution deltas in (probe-side, per publish window).
-    pub fn add_stall(&self, delta: &StallSnapshot) {
+    pub fn add_stall(&self, delta: &StallBreakdown) {
         self.stall[0].fetch_add(delta.compute, Ordering::Relaxed);
         self.stall[1].fetch_add(delta.wait_translation, Ordering::Relaxed);
         self.stall[2].fetch_add(delta.wait_load, Ordering::Relaxed);
@@ -234,7 +221,7 @@ impl ProgressCell {
             phase: JobPhase::ALL[usize::from(self.phase.load(Ordering::Relaxed))],
             wall_ms,
             cycles_per_sec: rate,
-            stall: StallSnapshot {
+            stall: StallBreakdown {
                 compute: self.stall[0].load(Ordering::Relaxed),
                 wait_translation: self.stall[1].load(Ordering::Relaxed),
                 wait_load: self.stall[2].load(Ordering::Relaxed),
@@ -294,13 +281,13 @@ mod tests {
     #[test]
     fn deltas_accumulate_and_render() {
         let c = ProgressCell::default();
-        c.add_stall(&StallSnapshot {
+        c.add_stall(&StallBreakdown {
             compute: 10,
             wait_translation: 2,
             wait_load: 3,
             wait_store: 1,
         });
-        c.add_stall(&StallSnapshot { compute: 5, ..Default::default() });
+        c.add_stall(&StallBreakdown { compute: 5, ..Default::default() });
         c.add_traffic(&TrafficSnapshot { dram_txns: 7, tlb_hits: 4, ..Default::default() });
         c.publish_poll(2000, 2);
         let s = c.snapshot();

@@ -160,24 +160,6 @@ impl FlightRecorder {
         self.buf.iter().copied().collect()
     }
 
-    /// Fold another ring's surviving events into this one, keeping the
-    /// merged stream ordered by simulated cycle (stable for ties). Used
-    /// when the engine-side and memory-side probe halves recorded into
-    /// separate rings (no shared handle installed).
-    pub fn absorb(&mut self, other: &FlightRecorder) {
-        if other.buf.is_empty() {
-            return;
-        }
-        let mut merged: Vec<FlightEvent> =
-            self.buf.iter().chain(other.buf.iter()).copied().collect();
-        merged.sort_by_key(|e| (e.cycle, e.wall_ms, e.seq));
-        self.dropped += other.dropped + merged.len().saturating_sub(self.cap) as u64;
-        self.next_seq = self.next_seq.max(other.next_seq);
-        let skip = merged.len().saturating_sub(self.cap);
-        self.buf.clear();
-        self.buf.extend(merged.into_iter().skip(skip));
-    }
-
     /// The black-box dump: a self-describing JSON document with the ring's
     /// surviving events oldest-first.
     pub fn to_json(&self, job: &str) -> String {
@@ -235,22 +217,6 @@ mod tests {
         assert!(doc.contains("\"kind\":\"compute_begin\""));
         assert!(doc.contains("\"kind\":\"failed\""));
         assert!(doc.contains("\"capacity\":8"));
-    }
-
-    #[test]
-    fn absorb_merges_by_cycle_and_respects_cap() {
-        let mut a = FlightRecorder::new(4);
-        let mut b = FlightRecorder::new(4);
-        a.push(0, 100, FlightKind::Poll, 0, 0);
-        a.push(0, 300, FlightKind::Poll, 0, 1);
-        b.push(0, 200, FlightKind::Refresh, 1, 0);
-        b.push(0, 400, FlightKind::Refresh, 1, 1);
-        b.push(0, 500, FlightKind::Refresh, 1, 2);
-        a.absorb(&b);
-        assert_eq!(a.len(), 4);
-        let cycles: Vec<u64> = a.events().iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![200, 300, 400, 500]);
-        assert_eq!(a.dropped(), 1);
     }
 }
 
