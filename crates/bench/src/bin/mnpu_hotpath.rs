@@ -1,10 +1,16 @@
 //! Wall-clock throughput benchmark for the simulation hot path.
 //!
 //! Runs the fig04 dual-core sweep workloads (all 36 mixes × 4 co-run
-//! sharing levels plus the 8 Ideal solos — 152 simulations) serially,
-//! measuring end-to-end sweep seconds and simulated-cycles-per-second, and
-//! appends the result to `BENCH_hotpath.json` at the repository root — the
-//! perf trajectory across PRs.
+//! sharing levels plus the 8 Ideal solos — 152 simulations) through
+//! [`sweeps::run_counts`] on `MNPU_JOBS` workers (default: available
+//! parallelism), measuring end-to-end sweep seconds and
+//! simulated-cycles-per-second, and appends the result to
+//! `BENCH_hotpath.json` at the repository root — the perf trajectory
+//! across PRs. Every entry records its worker count as `"jobs"`: the
+//! counts are byte-identical for any worker count, the seconds are not,
+//! so only entries with equal `jobs` (on hosts with equal available
+//! parallelism) compare. The CI gate pins `MNPU_JOBS=1` so it measures
+//! the single-thread hot path against the serial `baseline` entry.
 //!
 //! Usage:
 //!
@@ -45,7 +51,7 @@
 //! `simulated_cycles` and `dram_transactions` are identical in both modes
 //! (the entry's `prefix_share` field says which one ran).
 
-use mnpu_bench::{prefix_share_enabled, sweeps, Harness, SweepCounts};
+use mnpu_bench::{prefix_share_enabled, sweeps, Harness, SweepCounts, SweepExecutor};
 use mnpu_engine::{Emit, Format, ProbeMode};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -109,8 +115,9 @@ fn run_sweep_observed(
 ) -> SweepResult {
     let _g = mnpu_trace::install(trace);
     let t0 = Instant::now();
-    let counts = sweeps::run_counts_observed(h, reqs, Some(trace), &mut || false)
-        .expect("an unstoppable sweep always completes");
+    let counts =
+        sweeps::run_counts_observed(h, reqs, SweepExecutor::new(), Some(trace), &mut || false)
+            .expect("an unstoppable sweep always completes");
     SweepResult { wall_seconds: t0.elapsed().as_secs_f64(), counts }
 }
 
@@ -220,9 +227,10 @@ fn main() {
     let prefix_share = if prefix_share_enabled() { "on" } else { "off" };
     let entry = format!(
         "{{\"label\":\"{label}\",\"mode\":\"{mode}\",\"probe\":\"{probe_name}\",\
-         \"prefix_share\":\"{prefix_share}\",\"sims\":{},\
+         \"prefix_share\":\"{prefix_share}\",\"jobs\":{},\"sims\":{},\
          \"sweep_seconds\":{:.3},\"simulated_cycles\":{},\"simulated_cycles_per_sec\":{:.0},\
          \"dram_transactions\":{}}}",
+        SweepExecutor::new().jobs(),
         r.counts.sims,
         r.wall_seconds,
         r.counts.simulated_cycles,

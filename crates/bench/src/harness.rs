@@ -57,9 +57,9 @@ impl CacheState {
 /// The experiment harness: the eight benchmarks at the active scale, and a
 /// memoized, disk-backed `run → per-core cycles` cache.
 ///
-/// All state is behind `Arc`s, so cloning is cheap and every clone shares
-/// the same caches — this is what lets [`crate::SweepExecutor`] fan
-/// simulations out across worker threads while results land in one place.
+/// All state is behind `Arc`s and mutexes, so cloning is cheap, every clone
+/// shares the same caches, and one harness serves every worker of a
+/// [`crate::SweepExecutor`] fan-out while results land in one place.
 ///
 /// ```no_run
 /// use mnpu_bench::Harness;
@@ -172,13 +172,16 @@ impl Harness {
         self.cache.lock().expect("cache lock").entries.get(&key).cloned()
     }
 
+    /// The memoized trace of `workload` on `arch`. The lock is held across
+    /// generation, so workers that miss together still generate each trace
+    /// once; the clone handed out shares the memo's layers.
     fn trace_for(&self, workload: usize, arch: &ArchConfig) -> WorkloadTrace {
-        if let Some(t) = self.traces.lock().expect("trace lock").get(&(workload, arch.clone())) {
-            return t.clone();
-        }
-        let t = WorkloadTrace::generate(&self.networks[workload], arch);
-        self.traces.lock().expect("trace lock").insert((workload, arch.clone()), t.clone());
-        t
+        self.traces
+            .lock()
+            .expect("trace lock")
+            .entry((workload, arch.clone()))
+            .or_insert_with(|| WorkloadTrace::generate(&self.networks[workload], arch))
+            .clone()
     }
 
     /// Run `workloads[i]` on core *i* of `cfg`, returning per-core cycles.

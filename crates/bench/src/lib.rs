@@ -15,7 +15,11 @@
 //! * `MNPU_QUAD_STRIDE=k` — sample every *k*-th quad mix (default 10);
 //! * `MNPU_NO_CACHE=1` — ignore and don't write the run cache;
 //! * `MNPU_JOBS=n` — worker threads for the [`SweepExecutor`] fan-out
-//!   (default: available parallelism; `1` = serial);
+//!   that every sweep driver ([`run_counts`], the figure sweeps,
+//!   [`ServeExecutor`]) goes through (default: available parallelism;
+//!   `1` = serial on the calling thread). Results are byte-identical for
+//!   any `n`; wall times are not, so report them with the worker count and
+//!   [`std::thread::available_parallelism`];
 //! * `MNPU_NO_PREFIX_SHARE=1` — disable warm-start prefix sharing (the
 //!   [`prefix`] module), forcing every sweep point to simulate from
 //!   cycle 0. Results are bit-exact either way.

@@ -1,13 +1,14 @@
 //! Parallel execution of serve-mode scenario lists.
 //!
 //! [`ServeExecutor`] is the scheduling-layer sibling of
-//! [`crate::SweepExecutor`]: it fans a list of [`ScenarioSpec`]s out across
-//! worker threads, memoizes each distinct scenario's [`ServeReport`], and
-//! returns results in request order. Every serve run is single-threaded
-//! and deterministic, so the reports are byte-identical to the serial path
-//! regardless of worker count — the `serve_parallel` integration test
-//! pins that down.
+//! [`crate::SweepExecutor`]: it fans a list of [`ScenarioSpec`]s out through
+//! the same worker pool, memoizes each distinct scenario's [`ServeReport`],
+//! and returns results in request order. Every serve run is
+//! single-threaded and deterministic, so the reports are byte-identical to
+//! the serial path regardless of worker count — the `serve_parallel`
+//! integration test pins that down.
 
+use crate::executor::SweepExecutor;
 use crate::harness::fnv1a;
 use mnpu_config::ScenarioSpec;
 use mnpu_sched::{serve, ServeReport};
@@ -17,14 +18,13 @@ use std::sync::{Arc, Mutex};
 
 /// Fans serve-mode scenarios out across worker threads, memoizing reports.
 ///
-/// The worker count comes from the `MNPU_JOBS` environment variable when
-/// set (minimum 1), otherwise from [`std::thread::available_parallelism`].
-/// Unlike the sweep cache, the scenario memo is in-memory only: a
-/// [`ServeReport`] carries full per-core run state and is not worth
-/// persisting across processes.
+/// The worker count is [`SweepExecutor`]'s: `MNPU_JOBS` when set (minimum
+/// 1), otherwise [`std::thread::available_parallelism`]. Unlike the sweep
+/// cache, the scenario memo is in-memory only: a [`ServeReport`] carries
+/// full per-core run state and is not worth persisting across processes.
 #[derive(Clone)]
 pub struct ServeExecutor {
-    jobs: usize,
+    exec: SweepExecutor,
     memo: Arc<Mutex<HashMap<u64, Arc<ServeReport>>>>,
     hits: Arc<AtomicUsize>,
 }
@@ -39,17 +39,13 @@ impl ServeExecutor {
     /// An executor sized by `MNPU_JOBS`, defaulting to the machine's
     /// available parallelism.
     pub fn new() -> Self {
-        let jobs = std::env::var("MNPU_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
-        ServeExecutor::with_jobs(jobs)
+        ServeExecutor::with_jobs(SweepExecutor::new().jobs())
     }
 
     /// An executor with an explicit worker count (clamped to at least 1).
     pub fn with_jobs(jobs: usize) -> Self {
         ServeExecutor {
-            jobs: jobs.max(1),
+            exec: SweepExecutor::with_jobs(jobs),
             memo: Arc::new(Mutex::new(HashMap::new())),
             hits: Arc::new(AtomicUsize::new(0)),
         }
@@ -57,7 +53,7 @@ impl ServeExecutor {
 
     /// The worker count this executor fans out to.
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.exec.jobs()
     }
 
     /// How many requested scenarios were answered from the memo instead of
@@ -96,30 +92,10 @@ impl ServeExecutor {
                 .collect()
         };
 
-        let workers = self.jobs.min(todo.len());
-        if workers <= 1 {
-            for spec in &todo {
-                let report = Arc::new(serve(spec));
-                self.memo.lock().expect("serve memo lock").insert(ServeExecutor::key(spec), report);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let memo = &self.memo;
-                    let next = &next;
-                    let todo = &todo;
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(spec) = todo.get(i) else { break };
-                        let report = Arc::new(serve(spec));
-                        memo.lock()
-                            .expect("serve memo lock")
-                            .insert(ServeExecutor::key(spec), report);
-                    });
-                }
-            });
-        }
+        self.exec.fan_out(&todo, &mut || false, |spec| {
+            let report = Arc::new(serve(spec));
+            self.memo.lock().expect("serve memo lock").insert(ServeExecutor::key(spec), report);
+        });
 
         // Everything is memoized now; assemble results in request order.
         let memo = self.memo.lock().expect("serve memo lock");

@@ -8,15 +8,16 @@
 //! the counts `mnpu_hotpath --tiny` prints, and both call [`run_counts`]
 //! over [`tiny`].
 
-use crate::{plan_units, Harness, SweepUnit};
+use crate::{plan_units, Harness, SweepExecutor, SweepUnit};
 use mnpu_engine::{RunReport, SharingLevel, SystemConfig};
 use mnpu_predict::mapping::multisets;
+use std::sync::Mutex;
 
 /// One sweep request: a system configuration plus zoo workload indices,
 /// one per core.
 pub type SweepRequest = (SystemConfig, Vec<usize>);
 
-/// What a sweep simulated, accumulated in request order.
+/// What a sweep simulated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCounts {
     /// Number of simulations run.
@@ -25,7 +26,8 @@ pub struct SweepCounts {
     pub simulated_cycles: u64,
     /// Sum of every report's DRAM transactions.
     pub dram_transactions: u64,
-    /// The final request's full report (stable across execution plans).
+    /// The final request's full report (stable across execution plans and
+    /// worker counts).
     pub last_report: Option<RunReport>,
 }
 
@@ -76,80 +78,83 @@ pub fn by_name(name: &str) -> Option<Vec<SweepRequest>> {
     }
 }
 
-/// Run every request serially through the full report path (no run cache,
-/// memoized traces — the same work a cold sweep does per simulation) and
-/// accumulate counts in request order.
+/// Run every request through the full report path (no run cache, memoized
+/// traces — the same work a cold sweep does per simulation) on
+/// [`SweepExecutor::new`]'s workers and accumulate the counts.
 ///
 /// Requests differing only in MMU organization run as warm-start prefix
 /// groups unless `MNPU_NO_PREFIX_SHARE=1` (see [`crate::prefix`]); the
-/// accumulated counts are bit-identical in both modes — only the wall
-/// clock moves.
+/// accumulated counts are bit-identical in both modes and for any worker
+/// count — only the wall clock moves.
 pub fn run_counts(h: &Harness, reqs: &[SweepRequest]) -> SweepCounts {
-    run_counts_observed(h, reqs, None, &mut || false)
+    run_counts_observed(h, reqs, SweepExecutor::new(), None, &mut || false)
         .expect("an unstoppable sweep always completes")
 }
 
-/// [`run_counts`] with a stop check and live telemetry.
+/// [`run_counts`] on `exec`'s workers, with a stop check and live
+/// telemetry.
 ///
-/// `should_stop` is consulted before each execution unit (a single
-/// simulation or a whole warm-start prefix group — the boundaries where
-/// abandoning a sweep wastes no finished work). Returns `None` when it
-/// fired: sweeps accumulate across simulations and have no mid-sweep
+/// The execution units — single simulations and whole warm-start prefix
+/// groups, the boundaries where abandoning a sweep wastes no finished
+/// work — go through [`SweepExecutor`]'s fan-out: `should_stop` runs on
+/// the calling thread before each unit is handed out, and once it returns
+/// `true` no unit starts, running units finish, and the call returns
+/// `None`. Sweeps accumulate across simulations and have no mid-sweep
 /// snapshot, so a stopped sweep reports nothing rather than a misleading
-/// partial count.
+/// partial count. A panic in `should_stop` or in a simulation reaches the
+/// caller with its original payload.
 ///
+/// Counts accumulate as units finish (u64 sums commute, so the totals do
+/// not depend on the order) and only the final request's report is kept.
 /// After each unit the sweep's progress — finished simulations, finished
 /// units, accumulated simulated cycles — is published to `trace`'s
-/// progress cell, so a `/progress` poll of a long daemon sweep shows
-/// movement between units. Telemetry is observation only: the returned
-/// counts are byte-identical with or without a handle.
+/// progress cell under the same lock, so a `/progress` poll of a long
+/// daemon sweep shows totals that only grow. Telemetry is observation
+/// only: the returned counts are byte-identical with or without a handle.
 pub fn run_counts_observed(
     h: &Harness,
     reqs: &[SweepRequest],
+    exec: SweepExecutor,
     trace: Option<&mnpu_trace::TraceHandle>,
     should_stop: &mut dyn FnMut() -> bool,
 ) -> Option<SweepCounts> {
     let units = plan_units(reqs.iter().map(|(cfg, ws)| (cfg, ws.as_slice())));
-    let mut reports: Vec<Option<RunReport>> = reqs.iter().map(|_| None).collect();
-    let (mut done_sims, mut done_units, mut done_cycles) = (0u64, 0u64, 0u64);
-    for unit in &units {
-        if should_stop() {
-            return None;
-        }
-        match unit {
+    let last = reqs.len().checked_sub(1);
+    let acc = Mutex::new((
+        SweepCounts { sims: 0, simulated_cycles: 0, dram_transactions: 0, last_report: None },
+        0u64,
+    ));
+    let finished = exec.fan_out(&units, should_stop, |unit| {
+        let ran: Vec<(usize, RunReport)> = match unit {
             SweepUnit::Single(i) => {
                 let (cfg, ws) = &reqs[*i];
-                let r = h.run_report(cfg, ws);
-                done_sims += 1;
-                done_cycles = done_cycles.saturating_add(r.total_cycles);
-                reports[*i] = Some(r);
+                vec![(*i, h.run_report(cfg, ws))]
             }
             SweepUnit::Group(members) => {
                 let cfgs: Vec<SystemConfig> = members.iter().map(|&i| reqs[i].0.clone()).collect();
-                let group = h.run_reports_shared(&cfgs, &reqs[members[0]].1);
-                for (&i, r) in members.iter().zip(group) {
-                    done_sims += 1;
-                    done_cycles = done_cycles.saturating_add(r.total_cycles);
-                    reports[i] = Some(r);
-                }
+                members
+                    .iter()
+                    .copied()
+                    .zip(h.run_reports_shared(&cfgs, &reqs[members[0]].1))
+                    .collect()
+            }
+        };
+        let mut guard = acc.lock().expect("no unit panics holding the sweep totals");
+        let (counts, done_units) = &mut *guard;
+        for (i, r) in ran {
+            counts.sims += 1;
+            counts.simulated_cycles += r.total_cycles;
+            counts.dram_transactions += r.dram.total.transactions();
+            if Some(i) == last {
+                counts.last_report = Some(r);
             }
         }
-        done_units += 1;
+        *done_units += 1;
         if let Some(t) = trace {
-            t.publish_sweep(done_sims, done_units, done_cycles);
+            t.publish_sweep(counts.sims as u64, *done_units, counts.simulated_cycles);
         }
-    }
-    // Accumulate in request order so the "last" report is stable across
-    // execution plans.
-    let mut simulated_cycles = 0u64;
-    let mut dram_transactions = 0u64;
-    let mut last_report = None;
-    for r in reports.into_iter().map(|r| r.expect("every request ran")) {
-        simulated_cycles += r.total_cycles;
-        dram_transactions += r.dram.total.transactions();
-        last_report = Some(r);
-    }
-    Some(SweepCounts { sims: reqs.len(), simulated_cycles, dram_transactions, last_report })
+    });
+    finished.then(|| acc.into_inner().expect("the sweep totals lock is never poisoned").0)
 }
 
 #[cfg(test)]
@@ -178,9 +183,25 @@ mod tests {
     #[test]
     fn run_counts_observed_stops_between_units() {
         let h = Harness::new();
-        let reqs = vec![(Harness::dual(SharingLevel::Static).ideal_solo(), vec![6])];
-        // A stop check that fires immediately runs nothing.
-        assert_eq!(run_counts_observed(&h, &reqs, None, &mut || true), None);
+        let reqs = tiny();
+        let units = plan_units(reqs.iter().map(|(cfg, ws)| (cfg, ws.as_slice()))).len();
+        for jobs in [1, 2, 4] {
+            for k in 1..=units {
+                // A stop check that fires on its k-th call has handed out
+                // exactly k - 1 units, and every one of them finished.
+                let trace = mnpu_trace::TraceHandle::new();
+                let mut calls = 0;
+                let mut stop = || {
+                    calls += 1;
+                    calls == k
+                };
+                let exec = SweepExecutor::with_jobs(jobs);
+                assert_eq!(run_counts_observed(&h, &reqs, exec, Some(&trace), &mut stop), None);
+                assert_eq!(calls, k, "{jobs} workers");
+                let progress = trace.progress().snapshot();
+                assert_eq!(progress.sweep_units, k as u64 - 1, "{jobs} workers, stop at {k}");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! serial path. (Every simulation is single-threaded and deterministic;
 //! the executor only changes *which thread* runs it.)
 
-use mnpu_bench::{Harness, SweepExecutor};
+use mnpu_bench::{sweeps, Harness, SweepExecutor, SweepRequest};
 use mnpu_engine::SharingLevel;
 use mnpu_predict::mapping::multisets;
 
@@ -26,4 +26,33 @@ fn parallel_dual_sweep_matches_serial_exactly() {
     let parallel = executor.run_mixes(&parallel_h, &reqs);
 
     assert_eq!(serial, parallel, "per-core cycle counts must be byte-identical");
+}
+
+#[test]
+fn sweep_counts_are_identical_for_any_worker_count() {
+    // The first 12 fig04 requests are the eight Ideal solos plus one mix
+    // under all four co-run levels: singles and a prefix group.
+    let fig04_head: Vec<SweepRequest> = sweeps::fig04().into_iter().take(12).collect();
+    let h = Harness::new();
+    for reqs in [sweeps::tiny(), fig04_head] {
+        let counts = |jobs| {
+            sweeps::run_counts_observed(
+                &h,
+                &reqs,
+                SweepExecutor::with_jobs(jobs),
+                None,
+                &mut || false,
+            )
+            .expect("an unstoppable sweep completes")
+        };
+        let serial = counts(1);
+        assert_eq!(serial.sims, reqs.len());
+        let serial_json = serial.last_report.as_ref().map(|r| r.to_json());
+        for jobs in [2, 4] {
+            let parallel = counts(jobs);
+            assert_eq!(parallel, serial, "{jobs} workers changed the counts");
+            let parallel_json = parallel.last_report.as_ref().map(|r| r.to_json());
+            assert_eq!(parallel_json, serial_json, "{jobs} workers changed the last report");
+        }
+    }
 }

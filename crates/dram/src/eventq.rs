@@ -59,8 +59,12 @@ impl<T: Ord + Copy> MonotonicQueue<T> {
         self.len += 1;
     }
 
-    /// The minimum element, if any.
+    /// The minimum element, if any. An empty queue answers without
+    /// scanning its lanes.
     pub fn peek(&self) -> Option<&T> {
+        if self.len == 0 {
+            return None;
+        }
         let mut best: Option<&T> = self.overflow.peek().map(|Reverse(t)| t);
         for q in &self.lanes {
             if let Some(front) = q.front() {
@@ -72,8 +76,12 @@ impl<T: Ord + Copy> MonotonicQueue<T> {
         best
     }
 
-    /// Remove and return the minimum element.
+    /// Remove and return the minimum element. An empty queue answers
+    /// without scanning its lanes.
     pub fn pop(&mut self) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
         let mut best: Option<(usize, T)> = self.overflow.peek().map(|&Reverse(t)| (usize::MAX, t));
         for (i, q) in self.lanes.iter().enumerate() {
             if let Some(&front) = q.front() {
@@ -169,5 +177,14 @@ mod tests {
         assert_eq!(q.pop(), None);
         q.push(0, (1, 0));
         assert_eq!(q.pop(), Some((1, 0)));
+        // Drained again, across several lanes: empty answers, no count drift.
+        let mut q = MonotonicQueue::<(u64, usize)>::new(4);
+        q.push(3, (2, 3));
+        q.push(1, (1, 1));
+        assert_eq!(q.pop(), Some((1, 1)));
+        assert_eq!(q.pop(), Some((2, 3)));
+        assert_eq!(q.peek(), None);
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.len(), 0);
     }
 }

@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mnpu_bench::{sweeps, Harness};
+use mnpu_bench::{sweeps, Harness, SweepExecutor};
 use mnpu_metrics::prom;
 use mnpu_snapshot::json;
 use mnpu_trace::{JobPhase, TraceHandle};
@@ -411,6 +411,7 @@ fn execute(
                 match sweeps::run_counts_observed(
                     &inner.harness,
                     &reqs,
+                    SweepExecutor::new(),
                     Some(trace),
                     &mut should_stop,
                 ) {

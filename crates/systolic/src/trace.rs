@@ -7,6 +7,7 @@ use crate::tiling::{choose_tile, TileShape};
 use mnpu_model::{DataType, GemmSpec, Layer, LayerKind, Network};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// Base virtual address of a core's tensor arena. Leaving page zero and the
 /// low region unmapped catches stray-address bugs in tests.
@@ -91,11 +92,14 @@ impl LayerTrace {
 /// A complete, memory-system-agnostic program for one NPU core.
 ///
 /// Produced by [`WorkloadTrace::generate`]; consumed by `mnpu-engine`.
+/// Traces are immutable once generated, so the layers sit behind an
+/// [`Arc`]: a clone (one per simulated core, one per memo lookup) shares
+/// them instead of copying every tile and span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadTrace {
     name: String,
     dtype: DataType,
-    layers: Vec<LayerTrace>,
+    layers: Arc<[LayerTrace]>,
     footprint_bytes: u64,
 }
 
@@ -172,7 +176,7 @@ impl WorkloadTrace {
         WorkloadTrace {
             name: net.name().to_string(),
             dtype: net.dtype(),
-            layers,
+            layers: layers.into(),
             footprint_bytes: cursor - VIRT_BASE,
         }
     }
@@ -185,7 +189,7 @@ impl WorkloadTrace {
         WorkloadTrace {
             name: String::new(),
             dtype: DataType::Int8,
-            layers: Vec::new(),
+            layers: Arc::new([]),
             footprint_bytes: 0,
         }
     }
@@ -436,6 +440,14 @@ mod tests {
         let t = WorkloadTrace::generate(&mlp(), &bench());
         assert_eq!(t.layers().len(), 2);
         assert_eq!(t.name(), "mlp");
+    }
+
+    #[test]
+    fn clones_share_their_layers() {
+        let t = WorkloadTrace::generate(&mlp(), &bench());
+        let c = t.clone();
+        assert!(std::ptr::eq(t.layers(), c.layers()), "a clone must not copy the layers");
+        assert_eq!(t, c);
     }
 
     #[test]

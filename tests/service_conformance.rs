@@ -14,11 +14,15 @@
 //! 3. **Admission** — with the queue bound at 2 and dispatch held, 8
 //!    concurrent submissions yield exactly 2 acceptances and 6 `429`s
 //!    (with `Retry-After`), and both accepted jobs complete after release.
+//! 4. **Sweeps** — a sweep job reports exactly `sweeps::run_counts`'s
+//!    bytes, a cancelled one stops within one execution unit per sweep
+//!    worker, and a panic inside it fails the job with its own message.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use mnpu_bench::{sweeps, Harness, SweepExecutor};
 use mnpu_config::parse_scenario;
 use mnpu_service::{Service, ServiceConfig};
 use mnpusim::prelude::*;
@@ -121,6 +125,75 @@ fn daemon_serve_scenario_is_byte_identical_to_facade() {
 /// Budget 0 stops the run deterministically at its first safe boundary;
 /// the handed-back checkpoint resumed through the daemon must finish with
 /// the uninterrupted run's exact bytes.
+fn tiny_sweep_bytes() -> String {
+    sweeps::run_counts(&Harness::new(), &sweeps::tiny()).to_json()
+}
+
+/// The `"sweep":{"units":N}` execution units a job has finished.
+fn sweep_units(addr: SocketAddr, id: &str) -> u64 {
+    let (status, _, progress) = request(addr, "GET", &format!("/v1/jobs/{id}/progress"), "");
+    assert_eq!(status, 200, "{progress}");
+    let v = mnpu_snapshot::json::parse(&progress).expect("progress is JSON");
+    v.get("sweep").and_then(|s| s.get("units")).and_then(|u| u.as_u64()).expect("sweep units")
+}
+
+#[test]
+fn daemon_tiny_sweep_is_byte_identical_to_run_counts() {
+    let expected = tiny_sweep_bytes();
+    let svc = Service::start(ServiceConfig::default()).unwrap();
+    let addr = svc.addr();
+    let id = submit(addr, r#"{"kind":"sweep","sweep":"tiny"}"#);
+    assert_eq!(wait_terminal(addr, &id), "completed");
+    assert_eq!(report(addr, &id), expected, "daemon and run_counts sweep bytes diverge");
+    svc.shutdown();
+}
+
+/// A `DELETE` lands between execution units: units already handed out
+/// finish, none starts after it, so at most one unit per sweep worker
+/// completes after the cancel — and the daemon serves the next job.
+#[test]
+fn cancelled_fig04_sweep_stops_within_one_unit_per_worker() {
+    let workers = SweepExecutor::new().jobs() as u64;
+    let svc = Service::start(ServiceConfig::default()).unwrap();
+    let addr = svc.addr();
+    let id = submit(addr, r#"{"kind":"sweep","sweep":"fig04"}"#);
+    loop {
+        let (_, _, status) = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
+        let state = str_field(&status, "state");
+        assert!(matches!(state.as_str(), "queued" | "running"), "{status}");
+        if state == "running" && sweep_units(addr, &id) > 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(request(addr, "DELETE", &format!("/v1/jobs/{id}"), "").0, 200);
+    let at_cancel = sweep_units(addr, &id);
+    assert_eq!(wait_terminal(addr, &id), "cancelled");
+    let finished = sweep_units(addr, &id);
+    assert!(
+        finished <= at_cancel + workers,
+        "{finished} units finished, {at_cancel} by the cancel, {workers} workers"
+    );
+    let (status, _, body) = request(addr, "GET", &format!("/v1/jobs/{id}/report"), "");
+    assert_ne!(status, 200, "a cancelled sweep reports no partial counts: {body}");
+
+    let next = submit(addr, r#"{"kind":"sweep","sweep":"tiny"}"#);
+    assert_eq!(wait_terminal(addr, &next), "completed");
+    assert_eq!(report(addr, &next), tiny_sweep_bytes());
+    svc.shutdown();
+}
+
+#[test]
+fn sweep_panic_fails_the_job_with_its_message() {
+    let svc = Service::start(ServiceConfig::default()).unwrap();
+    let addr = svc.addr();
+    let id = submit(addr, r#"{"kind":"sweep","sweep":"tiny","fault":"panic"}"#);
+    assert_eq!(wait_terminal(addr, &id), "failed");
+    let (_, _, status) = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
+    assert_eq!(str_field(&status, "error"), "panic: induced fault: panic", "{status}");
+    svc.shutdown();
+}
+
 #[test]
 fn budget_stop_then_resume_matches_uninterrupted_run() {
     let expected = RunRequest::networks(&golden_config(), golden_nets()).run().batch().to_json();
