@@ -50,6 +50,17 @@ fn resume_preserves_the_round_robin_cursor() {
 }
 
 #[test]
+fn resume_rebuilds_the_predictor_policy() {
+    // Two jobs queue behind two running ones, so the restored policy
+    // must pick among co-runners exactly as the uninterrupted one did.
+    let text = "cores = 2\nseed = 1\npattern = bursty:4:20000\npolicy = predictor\n\
+                job = ncf\njob = dlrm\njob = res\njob = ncf\njob = dlrm\njob = gpt2\n";
+    for k in [1, 4] {
+        assert_resume_exact(text, k);
+    }
+}
+
+#[test]
 fn resume_with_stats_probe_carries_job_spans() {
     let mut spec = parse_scenario("t", "cores = 1\njob = ncf\njob = ncf\n").unwrap();
     spec.system.probe = ProbeMode::Stats;
