@@ -6,10 +6,10 @@
 //! parallelism), measuring end-to-end sweep seconds and
 //! simulated-cycles-per-second, and appends the result to
 //! `BENCH_hotpath.json` at the repository root — the perf trajectory
-//! across PRs. Every entry records its worker count as `"jobs"`: the
-//! counts are byte-identical for any worker count, the seconds are not,
-//! so only entries with equal `jobs` (on hosts with equal available
-//! parallelism) compare. The CI gate pins `MNPU_JOBS=1` so it measures
+//! across PRs. Every entry records its worker count as `"jobs"` and the
+//! host's `"available_parallelism"`: the counts are byte-identical for any
+//! worker count, the seconds are not, so only entries with equal values
+//! of both compare. The CI gate pins `MNPU_JOBS=1` so it measures
 //! the single-thread hot path against the serial `baseline` entry.
 //!
 //! Usage:
@@ -51,8 +51,8 @@
 //! `simulated_cycles` and `dram_transactions` are identical in both modes
 //! (the entry's `prefix_share` field says which one ran).
 
-use mnpu_bench::{prefix_share_enabled, sweeps, Harness, SweepCounts, SweepExecutor};
-use mnpu_engine::{Emit, Format, ProbeMode};
+use mnpu_bench::{prefix_share_enabled, sweeps, Harness, SweepCounts};
+use mnpu_engine::{Emit, FanOut, Format, ProbeMode};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -115,9 +115,8 @@ fn run_sweep_observed(
 ) -> SweepResult {
     let _g = mnpu_trace::install(trace);
     let t0 = Instant::now();
-    let counts =
-        sweeps::run_counts_observed(h, reqs, SweepExecutor::new(), Some(trace), &mut || false)
-            .expect("an unstoppable sweep always completes");
+    let counts = sweeps::run_counts_observed(h, reqs, FanOut::new(), Some(trace), &mut || false)
+        .expect("an unstoppable sweep always completes");
     SweepResult { wall_seconds: t0.elapsed().as_secs_f64(), counts }
 }
 
@@ -227,10 +226,11 @@ fn main() {
     let prefix_share = if prefix_share_enabled() { "on" } else { "off" };
     let entry = format!(
         "{{\"label\":\"{label}\",\"mode\":\"{mode}\",\"probe\":\"{probe_name}\",\
-         \"prefix_share\":\"{prefix_share}\",\"jobs\":{},\"sims\":{},\
-         \"sweep_seconds\":{:.3},\"simulated_cycles\":{},\"simulated_cycles_per_sec\":{:.0},\
-         \"dram_transactions\":{}}}",
-        SweepExecutor::new().jobs(),
+         \"prefix_share\":\"{prefix_share}\",\"jobs\":{},\"available_parallelism\":{},\
+         \"sims\":{},\"sweep_seconds\":{:.3},\"simulated_cycles\":{},\
+         \"simulated_cycles_per_sec\":{:.0},\"dram_transactions\":{}}}",
+        FanOut::new().jobs(),
+        std::thread::available_parallelism().map_or(1, usize::from),
         r.counts.sims,
         r.wall_seconds,
         r.counts.simulated_cycles,

@@ -1,7 +1,7 @@
 //! Figures 17–18: the co-runner mapping study (§4.6).
 
 use crate::harness::Harness;
-use mnpu_engine::SharingLevel;
+use mnpu_engine::{FanOut, SharingLevel};
 use mnpu_metrics::{fairness, Cdf};
 use mnpu_predict::mapping::{multisets, study_multiset};
 use mnpu_predict::{SlowdownModel, WorkloadProfile};
@@ -26,8 +26,8 @@ impl PairTables {
         let n = h.names().len();
 
         // Fan the 36 pair simulations (and the Ideal solos they normalize
-        // against) out across the sweep executor before the serial
-        // aggregation below.
+        // against) out before the serial aggregation below.
+        let fan = FanOut::new();
         let solo = chip.ideal_solo();
         let mut reqs: Vec<crate::sweeps::SweepRequest> =
             (0..n).map(|w| (solo.clone(), vec![w])).collect();
@@ -36,7 +36,7 @@ impl PairTables {
                 reqs.push((chip.clone(), vec![i, j]));
             }
         }
-        crate::executor::SweepExecutor::new().run_mixes(h, &reqs);
+        crate::sweeps::run_mixes(h, &reqs, fan);
 
         let mut actual = vec![vec![0.0; n]; n];
         // Each pair fills the (i, j) and (j, i) cells at once, so the
@@ -50,9 +50,8 @@ impl PairTables {
             }
         }
 
-        let profiles: Vec<WorkloadProfile> =
-            h.networks().to_vec().iter().map(|net| WorkloadProfile::measure(&chip, net)).collect();
-        let model = SlowdownModel::train_on_random_networks(&chip, 10, 20, 2023);
+        let profiles = fan.map(h.networks(), |net| WorkloadProfile::measure(&chip, net));
+        let model = SlowdownModel::train_on_random_networks(&chip, 10, 20, 2023, fan);
         let mut predicted = vec![vec![0.0; n]; n];
         for i in 0..n {
             for j in 0..n {

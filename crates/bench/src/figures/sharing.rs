@@ -1,17 +1,16 @@
 //! Figures 4–8: the sharing-level study.
 
-use crate::executor::SweepExecutor;
 use crate::harness::Harness;
 use crate::sweeps::{self, SweepRequest};
-use mnpu_engine::SharingLevel;
+use mnpu_engine::{FanOut, SharingLevel};
 use mnpu_metrics::{fairness, geomean, BoxStats, Cdf};
 use mnpu_predict::mapping::multisets;
 
 /// Run every simulation the dual-core sweep needs ([`sweeps::fig04`]: all
-/// 36 mixes × 4 co-run levels, plus the 8 Ideal solos) on the parallel
-/// executor, so the serial aggregation loops below only hit the cache.
+/// 36 mixes × 4 co-run levels, plus the 8 Ideal solos) on the fan-out,
+/// so the serial aggregation loops below only hit the cache.
 fn prefetch_dual(h: &Harness) {
-    SweepExecutor::new().run_mixes(h, &sweeps::fig04());
+    sweeps::run_mixes(h, &sweeps::fig04(), FanOut::new());
 }
 
 /// Same for the (sampled) quad-core sweep.
@@ -24,7 +23,7 @@ fn prefetch_quad(h: &Harness) {
             reqs.push((Harness::quad(lvl), ws.clone()));
         }
     }
-    SweepExecutor::new().run_mixes(h, &reqs);
+    sweeps::run_mixes(h, &reqs, FanOut::new());
 }
 
 /// Result of a dual-core sweep: one row per mix, one column per co-run

@@ -59,7 +59,7 @@ impl CacheState {
 ///
 /// All state is behind `Arc`s and mutexes, so cloning is cheap, every clone
 /// shares the same caches, and one harness serves every worker of a
-/// [`crate::SweepExecutor`] fan-out while results land in one place.
+/// [`mnpu_engine::FanOut`] while results land in one place.
 ///
 /// ```no_run
 /// use mnpu_bench::Harness;

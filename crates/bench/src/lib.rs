@@ -14,11 +14,13 @@
 //!   (6435 multisets) sweeps instead of the deterministic samples;
 //! * `MNPU_QUAD_STRIDE=k` — sample every *k*-th quad mix (default 10);
 //! * `MNPU_NO_CACHE=1` — ignore and don't write the run cache;
-//! * `MNPU_JOBS=n` — worker threads for the [`SweepExecutor`] fan-out
-//!   that every sweep driver ([`run_counts`], the figure sweeps,
-//!   [`ServeExecutor`]) goes through (default: available parallelism;
-//!   `1` = serial on the calling thread). Results are byte-identical for
-//!   any `n`; wall times are not, so report them with the worker count and
+//! * `MNPU_JOBS=n` — worker threads for [`mnpu_engine::FanOut`], the one
+//!   fan-out that every sweep driver ([`run_counts`], [`run_mixes`] and
+//!   the figure sweeps, [`ServeExecutor`]) and the serve predictor's
+//!   set-up go through (default: available parallelism; `1` = serial on
+//!   the calling thread; a fan-out started inside a fan-out unit runs
+//!   inline). Results are byte-identical for any `n`; wall times are not,
+//!   so report them with the worker count and
 //!   [`std::thread::available_parallelism`];
 //! * `MNPU_NO_PREFIX_SHARE=1` — disable warm-start prefix sharing (the
 //!   [`prefix`] module), forcing every sweep point to simulate from
@@ -27,15 +29,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod figures;
 pub mod harness;
 pub mod prefix;
 pub mod serve_exec;
 pub mod sweeps;
 
-pub use executor::SweepExecutor;
 pub use harness::Harness;
 pub use prefix::{plan_units, prefix_share_enabled, SweepUnit};
 pub use serve_exec::ServeExecutor;
-pub use sweeps::{run_counts, run_counts_observed, SweepCounts, SweepRequest};
+pub use sweeps::{run_counts, run_counts_observed, run_mixes, SweepCounts, SweepRequest};

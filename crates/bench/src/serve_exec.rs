@@ -1,16 +1,18 @@
 //! Parallel execution of serve-mode scenario lists.
 //!
 //! [`ServeExecutor`] is the scheduling-layer sibling of
-//! [`crate::SweepExecutor`]: it fans a list of [`ScenarioSpec`]s out through
-//! the same worker pool, memoizes each distinct scenario's [`ServeReport`],
+//! [`crate::run_mixes`]: it fans a list of [`ScenarioSpec`]s out through
+//! the same [`FanOut`], memoizes each distinct scenario's [`ServeReport`],
 //! and returns results in request order. Every serve run is
 //! single-threaded and deterministic, so the reports are byte-identical to
 //! the serial path regardless of worker count — the `serve_parallel`
-//! integration test pins that down.
+//! integration test pins that down. A scenario whose predictor policy
+//! fans its own set-up out runs that set-up inline on its worker, so a
+//! scenario list never spawns more than [`ServeExecutor::jobs`] threads.
 
-use crate::executor::SweepExecutor;
 use crate::harness::fnv1a;
 use mnpu_config::ScenarioSpec;
+use mnpu_engine::FanOut;
 use mnpu_sched::{serve, ServeReport};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,13 +20,13 @@ use std::sync::{Arc, Mutex};
 
 /// Fans serve-mode scenarios out across worker threads, memoizing reports.
 ///
-/// The worker count is [`SweepExecutor`]'s: `MNPU_JOBS` when set (minimum
-/// 1), otherwise [`std::thread::available_parallelism`]. Unlike the sweep
+/// The worker count is [`FanOut`]'s: `MNPU_JOBS` when set (minimum 1),
+/// otherwise [`std::thread::available_parallelism`]. Unlike the sweep
 /// cache, the scenario memo is in-memory only: a [`ServeReport`] carries
 /// full per-core run state and is not worth persisting across processes.
 #[derive(Clone)]
 pub struct ServeExecutor {
-    exec: SweepExecutor,
+    fan: FanOut,
     memo: Arc<Mutex<HashMap<u64, Arc<ServeReport>>>>,
     hits: Arc<AtomicUsize>,
 }
@@ -39,13 +41,13 @@ impl ServeExecutor {
     /// An executor sized by `MNPU_JOBS`, defaulting to the machine's
     /// available parallelism.
     pub fn new() -> Self {
-        ServeExecutor::with_jobs(SweepExecutor::new().jobs())
+        ServeExecutor::with_jobs(FanOut::new().jobs())
     }
 
     /// An executor with an explicit worker count (clamped to at least 1).
     pub fn with_jobs(jobs: usize) -> Self {
         ServeExecutor {
-            exec: SweepExecutor::with_jobs(jobs),
+            fan: FanOut::with_jobs(jobs),
             memo: Arc::new(Mutex::new(HashMap::new())),
             hits: Arc::new(AtomicUsize::new(0)),
         }
@@ -53,7 +55,7 @@ impl ServeExecutor {
 
     /// The worker count this executor fans out to.
     pub fn jobs(&self) -> usize {
-        self.exec.jobs()
+        self.fan.jobs()
     }
 
     /// How many requested scenarios were answered from the memo instead of
@@ -92,7 +94,7 @@ impl ServeExecutor {
                 .collect()
         };
 
-        self.exec.fan_out(&todo, &mut || false, |spec| {
+        self.fan.run(&todo, &mut || false, |spec| {
             let report = Arc::new(serve(spec));
             self.memo.lock().expect("serve memo lock").insert(ServeExecutor::key(spec), report);
         });

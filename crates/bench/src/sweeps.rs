@@ -8,8 +8,8 @@
 //! the counts `mnpu_hotpath --tiny` prints, and both call [`run_counts`]
 //! over [`tiny`].
 
-use crate::{plan_units, Harness, SweepExecutor, SweepUnit};
-use mnpu_engine::{RunReport, SharingLevel, SystemConfig};
+use crate::{plan_units, Harness, SweepUnit};
+use mnpu_engine::{FanOut, RunReport, SharingLevel, SystemConfig};
 use mnpu_predict::mapping::multisets;
 use std::sync::Mutex;
 
@@ -80,23 +80,23 @@ pub fn by_name(name: &str) -> Option<Vec<SweepRequest>> {
 
 /// Run every request through the full report path (no run cache, memoized
 /// traces — the same work a cold sweep does per simulation) on
-/// [`SweepExecutor::new`]'s workers and accumulate the counts.
+/// [`FanOut::new`]'s workers and accumulate the counts.
 ///
 /// Requests differing only in MMU organization run as warm-start prefix
 /// groups unless `MNPU_NO_PREFIX_SHARE=1` (see [`crate::prefix`]); the
 /// accumulated counts are bit-identical in both modes and for any worker
 /// count — only the wall clock moves.
 pub fn run_counts(h: &Harness, reqs: &[SweepRequest]) -> SweepCounts {
-    run_counts_observed(h, reqs, SweepExecutor::new(), None, &mut || false)
+    run_counts_observed(h, reqs, FanOut::new(), None, &mut || false)
         .expect("an unstoppable sweep always completes")
 }
 
-/// [`run_counts`] on `exec`'s workers, with a stop check and live
+/// [`run_counts`] on `fan`'s workers, with a stop check and live
 /// telemetry.
 ///
 /// The execution units — single simulations and whole warm-start prefix
 /// groups, the boundaries where abandoning a sweep wastes no finished
-/// work — go through [`SweepExecutor`]'s fan-out: `should_stop` runs on
+/// work — go through [`FanOut::run`]: `should_stop` runs on
 /// the calling thread before each unit is handed out, and once it returns
 /// `true` no unit starts, running units finish, and the call returns
 /// `None`. Sweeps accumulate across simulations and have no mid-sweep
@@ -114,7 +114,7 @@ pub fn run_counts(h: &Harness, reqs: &[SweepRequest]) -> SweepCounts {
 pub fn run_counts_observed(
     h: &Harness,
     reqs: &[SweepRequest],
-    exec: SweepExecutor,
+    fan: FanOut,
     trace: Option<&mnpu_trace::TraceHandle>,
     should_stop: &mut dyn FnMut() -> bool,
 ) -> Option<SweepCounts> {
@@ -124,7 +124,7 @@ pub fn run_counts_observed(
         SweepCounts { sims: 0, simulated_cycles: 0, dram_transactions: 0, last_report: None },
         0u64,
     ));
-    let finished = exec.fan_out(&units, should_stop, |unit| {
+    let finished = fan.run(&units, should_stop, |unit| {
         let ran: Vec<(usize, RunReport)> = match unit {
             SweepUnit::Single(i) => {
                 let (cfg, ws) = &reqs[*i];
@@ -155,6 +155,39 @@ pub fn run_counts_observed(
         }
     });
     finished.then(|| acc.into_inner().expect("the sweep totals lock is never poisoned").0)
+}
+
+/// Run every request on `fan`'s workers (deduplicated, cache hits
+/// skipped), then return per-core cycle counts in request order. Results
+/// are memoized in the harness cache exactly as [`Harness::run_mix`] would.
+///
+/// Uncached requests that differ only in MMU organization are coalesced
+/// into warm-start prefix groups (see [`crate::prefix`]) — each group
+/// is one fan-out unit, its members simulated from one shared prefix.
+/// `MNPU_NO_PREFIX_SHARE=1` restores the one-request-per-unit plan;
+/// results are byte-identical either way.
+pub fn run_mixes(h: &Harness, requests: &[SweepRequest], fan: FanOut) -> Vec<Vec<u64>> {
+    // Dedup by cache key and drop already-memoized runs so workers only
+    // see fresh work.
+    let mut seen = std::collections::HashSet::new();
+    let todo: Vec<&SweepRequest> = requests
+        .iter()
+        .filter(|(cfg, ws)| seen.insert(Harness::key(cfg, ws)) && h.cached(cfg, ws).is_none())
+        .collect();
+    let units = plan_units(todo.iter().map(|(cfg, ws)| (cfg, ws.as_slice())));
+    fan.run(&units, &mut || false, |unit| match unit {
+        SweepUnit::Single(i) => {
+            let (cfg, ws) = todo[*i];
+            h.run_mix(cfg, ws);
+        }
+        SweepUnit::Group(members) => {
+            let cfgs: Vec<_> = members.iter().map(|&i| todo[i].0.clone()).collect();
+            h.run_mix_group(&cfgs, &todo[members[0]].1);
+        }
+    });
+
+    // Everything is cached now; assemble results in request order.
+    requests.iter().map(|(cfg, ws)| h.run_mix(cfg, ws)).collect()
 }
 
 #[cfg(test)]
@@ -195,13 +228,30 @@ mod tests {
                     calls += 1;
                     calls == k
                 };
-                let exec = SweepExecutor::with_jobs(jobs);
-                assert_eq!(run_counts_observed(&h, &reqs, exec, Some(&trace), &mut stop), None);
+                let fan = FanOut::with_jobs(jobs);
+                assert_eq!(run_counts_observed(&h, &reqs, fan, Some(&trace), &mut stop), None);
                 assert_eq!(calls, k, "{jobs} workers");
                 let progress = trace.progress().snapshot();
                 assert_eq!(progress.sweep_units, k as u64 - 1, "{jobs} workers, stop at {k}");
             }
         }
+    }
+
+    #[test]
+    fn run_mixes_preserves_request_order_and_dedups() {
+        std::env::set_var("MNPU_NO_CACHE", "1");
+        let h = Harness::new();
+        let cfg = Harness::dual(SharingLevel::Static);
+        let reqs: Vec<SweepRequest> = vec![
+            (cfg.clone(), vec![6, 6]),
+            (cfg.clone(), vec![6, 7]),
+            (cfg.clone(), vec![6, 6]), // duplicate
+        ];
+        let out = run_mixes(&h, &reqs, FanOut::with_jobs(2));
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[0], out[2], "duplicate requests share one run");
+        assert_eq!(out[0], h.run_mix(&cfg, &[6, 6]));
+        assert_eq!(out[1], h.run_mix(&cfg, &[6, 7]));
     }
 
     #[test]

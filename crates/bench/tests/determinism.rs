@@ -3,8 +3,8 @@
 //! serial path. (Every simulation is single-threaded and deterministic;
 //! the executor only changes *which thread* runs it.)
 
-use mnpu_bench::{sweeps, Harness, SweepExecutor, SweepRequest};
-use mnpu_engine::SharingLevel;
+use mnpu_bench::{sweeps, Harness, SweepRequest};
+use mnpu_engine::{FanOut, SharingLevel};
 use mnpu_predict::mapping::multisets;
 
 #[test]
@@ -21,9 +21,9 @@ fn parallel_dual_sweep_matches_serial_exactly() {
     let serial: Vec<Vec<u64>> = reqs.iter().map(|(cfg, ws)| serial_h.run_mix(cfg, ws)).collect();
 
     let parallel_h = Harness::new();
-    let executor = SweepExecutor::new();
-    assert_eq!(executor.jobs(), 4, "MNPU_JOBS override");
-    let parallel = executor.run_mixes(&parallel_h, &reqs);
+    let fan = FanOut::new();
+    assert_eq!(fan.jobs(), 4, "MNPU_JOBS override");
+    let parallel = sweeps::run_mixes(&parallel_h, &reqs, fan);
 
     assert_eq!(serial, parallel, "per-core cycle counts must be byte-identical");
 }
@@ -36,14 +36,8 @@ fn sweep_counts_are_identical_for_any_worker_count() {
     let h = Harness::new();
     for reqs in [sweeps::tiny(), fig04_head] {
         let counts = |jobs| {
-            sweeps::run_counts_observed(
-                &h,
-                &reqs,
-                SweepExecutor::with_jobs(jobs),
-                None,
-                &mut || false,
-            )
-            .expect("an unstoppable sweep completes")
+            sweeps::run_counts_observed(&h, &reqs, FanOut::with_jobs(jobs), None, &mut || false)
+                .expect("an unstoppable sweep completes")
         };
         let serial = counts(1);
         assert_eq!(serial.sims, reqs.len());

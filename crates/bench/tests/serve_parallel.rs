@@ -11,7 +11,8 @@ fn scenario(name: &str, text: &str) -> ScenarioSpec {
     parse_scenario(name, text).unwrap()
 }
 
-/// A small list with queueing, both FIFO policies, and a duplicate entry.
+/// A small list with queueing, both FIFO policies, the predictor (whose
+/// set-up fans out inline on its scenario's worker), and a duplicate entry.
 fn scenario_list() -> Vec<ScenarioSpec> {
     vec![
         scenario("a", "cores = 1\npattern = fixed:1000\njob = ncf\njob = ncf\n"),
@@ -21,6 +22,11 @@ fn scenario_list() -> Vec<ScenarioSpec> {
              job = ncf\njob = dlrm\njob = ncf\n",
         ),
         scenario("c", "cores = 2\nsharing = Static\njob = ncf\njob = dlrm\n"),
+        scenario(
+            "d",
+            "cores = 2\npattern = bursty:3:20000\nseed = 3\npolicy = predictor\n\
+             job = ncf\njob = dlrm\njob = ncf\njob = yt\n",
+        ),
         scenario("a2", "cores = 1\npattern = fixed:1000\njob = ncf\njob = ncf\n"), // dup of a
     ]
 }

@@ -1,59 +1,83 @@
-//! Parallel sweep execution over `std::thread` workers.
+//! The workspace's one parallel fan-out over scoped `std::thread` workers.
 //!
-//! The figure sweeps are embarrassingly parallel — hundreds of independent
-//! simulations whose results meet only in the run cache or a running sum.
-//! [`SweepExecutor`] owns the one fan-out every parallel driver goes
-//! through: [`SweepExecutor::run_mixes`] here,
-//! [`crate::sweeps::run_counts_observed`] and
-//! [`crate::ServeExecutor::run_scenarios`]. Every simulation is
-//! single-threaded and deterministic, so results are byte-identical to the
-//! serial path regardless of the worker count or scheduling.
+//! Sweeps, serve scenario lists and predictor set-up are fleets of
+//! independent deterministic simulations. Every driver hands them to
+//! [`FanOut`]: the simulations are single-threaded, and results are either
+//! assembled by unit index ([`FanOut::map`]) or combined commutatively, so
+//! every answer is byte-identical to the serial loop for any worker count.
 
-use crate::harness::Harness;
-use crate::prefix::{plan_units, SweepUnit};
-use crate::sweeps::SweepRequest;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex};
 
-/// Fans sweep requests out across worker threads.
+thread_local! {
+    /// Set on fan-out worker threads for their lifetime.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Fans independent units of work out across worker threads.
 ///
 /// The worker count comes from the `MNPU_JOBS` environment variable when
 /// set (minimum 1), otherwise from [`std::thread::available_parallelism`].
-/// `MNPU_JOBS=1` degenerates to the plain serial loop on the calling
-/// thread.
+/// With one worker, or one unit, the units run inline on the calling
+/// thread and no thread is spawned.
+///
+/// A fan-out started *on a fan-out worker* also runs inline: the outer
+/// fan-out already occupies every worker, so a unit that fans out again
+/// (a serve scenario building its predictor, say) must not multiply the
+/// thread count.
 #[derive(Debug, Clone, Copy)]
-pub struct SweepExecutor {
+pub struct FanOut {
     jobs: usize,
 }
 
-impl Default for SweepExecutor {
+impl Default for FanOut {
     fn default() -> Self {
-        SweepExecutor::new()
+        FanOut::new()
     }
 }
 
-impl SweepExecutor {
-    /// An executor sized by `MNPU_JOBS`, defaulting to the machine's
+impl FanOut {
+    /// A fan-out sized by `MNPU_JOBS`, defaulting to the machine's
     /// available parallelism.
     pub fn new() -> Self {
         let jobs = std::env::var("MNPU_JOBS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
-        SweepExecutor::with_jobs(jobs)
+        FanOut::with_jobs(jobs)
     }
 
-    /// An executor with an explicit worker count (clamped to at least 1).
+    /// A fan-out with an explicit worker count (clamped to at least 1).
     pub fn with_jobs(jobs: usize) -> Self {
-        SweepExecutor { jobs: jobs.max(1) }
+        FanOut { jobs: jobs.max(1) }
     }
 
-    /// The worker count this executor fans out to.
+    /// The worker count this fan-out spreads units over.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
 
-    /// Run `work` once per unit, in order, on up to [`SweepExecutor::jobs`]
+    /// Run `f` on every unit and return the results in unit order.
+    ///
+    /// # Panics
+    ///
+    /// A panic in `f` resumes on the caller with its original payload,
+    /// after every running unit has finished.
+    pub fn map<T: Sync, R: Send>(&self, units: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let slots: Vec<Mutex<Option<R>>> = units.iter().map(|_| Mutex::new(None)).collect();
+        let indexed: Vec<(usize, &T)> = units.iter().enumerate().collect();
+        self.run(&indexed, &mut || false, |&(i, unit)| {
+            let r = f(unit);
+            *slots[i].lock().expect("one writer per slot") = Some(r);
+        });
+        slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("one writer per slot").expect("every unit ran"))
+            .collect()
+    }
+
+    /// Run `work` once per unit, in order, on up to [`FanOut::jobs`]
     /// scoped worker threads. Returns `false` when `should_stop` fired.
     ///
     /// The calling thread hands the units out: it waits for a free worker,
@@ -64,16 +88,13 @@ impl SweepExecutor {
     /// caller with its original payload. Workers run under the caller's
     /// installed [`mnpu_trace::TraceHandle`], if any, so probes built
     /// inside `work` feed the caller's ring.
-    ///
-    /// With one worker (or one unit) everything runs inline on the calling
-    /// thread and no thread is spawned.
-    pub(crate) fn fan_out<T: Sync>(
+    pub fn run<T: Sync>(
         &self,
         units: &[T],
         should_stop: &mut dyn FnMut() -> bool,
         work: impl Fn(&T) + Sync,
     ) -> bool {
-        let workers = self.jobs.min(units.len());
+        let workers = if ON_WORKER.get() { 1 } else { self.jobs.min(units.len()) };
         if workers <= 1 {
             for unit in units {
                 if should_stop() {
@@ -93,6 +114,7 @@ impl SweepExecutor {
                 let done_tx = done_tx.clone();
                 let (unit_rx, work, installed) = (&unit_rx, &work, &installed);
                 scope.spawn(move || {
+                    ON_WORKER.set(true);
                     let _guard = installed.as_ref().map(mnpu_trace::install);
                     loop {
                         // A statement of its own, so the lock is released
@@ -145,78 +167,27 @@ impl SweepExecutor {
         }
         finished
     }
-
-    /// Run every request (deduplicated, cache hits skipped), then return
-    /// per-core cycle counts in request order. Results are memoized in the
-    /// harness cache exactly as [`Harness::run_mix`] would.
-    ///
-    /// Uncached requests that differ only in MMU organization are coalesced
-    /// into warm-start prefix groups (see [`crate::prefix`]) — each group
-    /// is one unit of worker parallelism, its members simulated from one
-    /// shared prefix. `MNPU_NO_PREFIX_SHARE=1` restores the one-request-
-    /// per-unit plan; results are byte-identical either way.
-    pub fn run_mixes(&self, h: &Harness, requests: &[SweepRequest]) -> Vec<Vec<u64>> {
-        // Dedup by cache key and drop already-memoized runs so workers only
-        // see fresh work.
-        let mut seen = std::collections::HashSet::new();
-        let todo: Vec<&SweepRequest> = requests
-            .iter()
-            .filter(|(cfg, ws)| seen.insert(Harness::key(cfg, ws)) && h.cached(cfg, ws).is_none())
-            .collect();
-        let units = plan_units(todo.iter().map(|(cfg, ws)| (cfg, ws.as_slice())));
-        self.fan_out(&units, &mut || false, |unit| match unit {
-            SweepUnit::Single(i) => {
-                let (cfg, ws) = todo[*i];
-                h.run_mix(cfg, ws);
-            }
-            SweepUnit::Group(members) => {
-                let cfgs: Vec<_> = members.iter().map(|&i| todo[i].0.clone()).collect();
-                h.run_mix_group(&cfgs, &todo[members[0]].1);
-            }
-        });
-
-        // Everything is cached now; assemble results in request order.
-        requests.iter().map(|(cfg, ws)| h.run_mix(cfg, ws)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mnpu_engine::SharingLevel;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn executor_clamps_to_one_job() {
-        assert_eq!(SweepExecutor::with_jobs(0).jobs(), 1);
-        assert!(SweepExecutor::new().jobs() >= 1);
+    fn fan_out_clamps_to_one_job() {
+        assert_eq!(FanOut::with_jobs(0).jobs(), 1);
+        assert!(FanOut::new().jobs() >= 1);
     }
 
     #[test]
-    fn run_mixes_preserves_request_order_and_dedups() {
-        std::env::set_var("MNPU_NO_CACHE", "1");
-        let h = Harness::new();
-        let cfg = Harness::dual(SharingLevel::Static);
-        let reqs: Vec<SweepRequest> = vec![
-            (cfg.clone(), vec![6, 6]),
-            (cfg.clone(), vec![6, 7]),
-            (cfg.clone(), vec![6, 6]), // duplicate
-        ];
-        let out = SweepExecutor::with_jobs(2).run_mixes(&h, &reqs);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0], out[2], "duplicate requests share one run");
-        assert_eq!(out[0], h.run_mix(&cfg, &[6, 6]));
-        assert_eq!(out[1], h.run_mix(&cfg, &[6, 7]));
-    }
-
-    #[test]
-    fn fan_out_runs_every_unit_once_or_stops_before_handing_out() {
+    fn run_runs_every_unit_once_or_stops_before_handing_out() {
         let units: Vec<usize> = (0..20).collect();
         for jobs in [1, 2, 4] {
             let ran = AtomicUsize::new(0);
             let sum = AtomicUsize::new(0);
-            let exec = SweepExecutor::with_jobs(jobs);
-            let finished = exec.fan_out(&units, &mut || false, |&u| {
+            let fan = FanOut::with_jobs(jobs);
+            let finished = fan.run(&units, &mut || false, |&u| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 sum.fetch_add(u, Ordering::Relaxed);
             });
@@ -226,7 +197,7 @@ mod tests {
 
             let ran = AtomicUsize::new(0);
             let mut calls = 0;
-            let finished = exec.fan_out(
+            let finished = fan.run(
                 &units,
                 &mut || {
                     calls += 1;
@@ -242,12 +213,22 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_panics_keep_their_payload() {
+    fn map_returns_results_in_unit_order() {
+        let units: Vec<u64> = (0..37).collect();
+        for jobs in [1, 2, 4] {
+            let squares = FanOut::with_jobs(jobs).map(&units, |&u| u * u);
+            assert_eq!(squares, units.iter().map(|u| u * u).collect::<Vec<_>>(), "{jobs}");
+        }
+        assert!(FanOut::with_jobs(2).map(&[] as &[u8], |&u| u).is_empty());
+    }
+
+    #[test]
+    fn panics_keep_their_payload() {
         let units: Vec<usize> = (0..8).collect();
         for jobs in [1, 2, 4] {
-            let exec = SweepExecutor::with_jobs(jobs);
+            let fan = FanOut::with_jobs(jobs);
             let in_unit = catch_unwind(AssertUnwindSafe(|| {
-                exec.fan_out(&units, &mut || false, |&u| {
+                fan.run(&units, &mut || false, |&u| {
                     if u == 3 {
                         panic!("unit three failed");
                     }
@@ -258,7 +239,7 @@ mod tests {
 
             let mut calls = 0;
             let in_stop = catch_unwind(AssertUnwindSafe(|| {
-                exec.fan_out(
+                fan.run(
                     &units,
                     &mut || {
                         calls += 1;
@@ -276,16 +257,33 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_workers_run_under_the_callers_trace_handle() {
+    fn workers_run_under_the_callers_trace_handle() {
         let handle = mnpu_trace::TraceHandle::new();
         let _guard = mnpu_trace::install(&handle);
         let units: Vec<usize> = (0..4).collect();
         let bound = AtomicUsize::new(0);
-        SweepExecutor::with_jobs(2).fan_out(&units, &mut || false, |_| {
+        FanOut::with_jobs(2).run(&units, &mut || false, |_| {
             if mnpu_trace::installed().is_some_and(|h| h.same_ring(&handle)) {
                 bound.fetch_add(1, Ordering::Relaxed);
             }
         });
         assert_eq!(bound.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn a_fan_out_on_a_worker_runs_inline_and_spawns_no_thread() {
+        let outer: Vec<usize> = (0..4).collect();
+        let inner: Vec<usize> = (0..8).collect();
+        let fan = FanOut::with_jobs(4);
+        let threads = fan.map(&outer, |_| {
+            let me = std::thread::current().id();
+            let ran_on = fan.map(&inner, |_| std::thread::current().id());
+            assert!(ran_on.iter().all(|&id| id == me), "nested units ran on another thread");
+            me
+        });
+        assert!(threads.iter().all(|&id| id != std::thread::current().id()));
+        // Off a worker, the same fan-out spreads again.
+        let ids = fan.map(&inner, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id != std::thread::current().id()));
     }
 }

@@ -21,6 +21,10 @@
 //! The loop is event-driven: between events the clock jumps, so compute-bound
 //! phases and idle memory cost nothing.
 //!
+//! Each simulation is single-threaded; [`FanOut`] is the workspace's one
+//! way to run many independent simulations on worker threads, with
+//! results that do not depend on the worker count.
+//!
 //! # Example
 //!
 //! ```
@@ -42,6 +46,7 @@ mod arbiter;
 mod builder;
 mod core_rt;
 mod emit;
+mod fanout;
 mod json;
 mod memmap;
 mod memory;
@@ -55,6 +60,7 @@ mod system;
 
 pub use builder::SystemConfigBuilder;
 pub use emit::{Emit, Format};
+pub use fanout::FanOut;
 pub use memmap::PageTable;
 pub use memory::{DramMemory, IdealMemory, MemoryModel, MemorySystem};
 pub use report::{ChipEnergy, CoreReport, EnergyModel, LogEvent, LogKind, RunReport};

@@ -2,7 +2,7 @@
 
 use crate::linreg::LinearModel;
 use crate::profile::WorkloadProfile;
-use mnpu_engine::{Simulation, SystemConfig};
+use mnpu_engine::{FanOut, Simulation, SystemConfig};
 use mnpu_model::randnet::{generate_batch, RandNetConfig};
 
 /// One training observation: workload `a` co-ran with workload `b` and
@@ -78,6 +78,12 @@ impl SlowdownModel {
     /// random nets, profile each solo, co-run `n_pairs` deterministic
     /// pairings on the dual-core `chip`, and fit on both sides of each pair.
     ///
+    /// The solo profiles and the distinct co-runs are independent
+    /// simulations, so they run as one `fan` fan-out (each distinct co-run
+    /// once: pairing `p` and `p + n_networks` repeat). Results are
+    /// assembled by index, so the fit is bit-identical for any worker
+    /// count.
+    ///
     /// # Panics
     ///
     /// Panics if `n_networks < 2` or `n_pairs == 0`.
@@ -86,20 +92,40 @@ impl SlowdownModel {
         n_networks: usize,
         n_pairs: usize,
         seed: u64,
+        fan: FanOut,
     ) -> Self {
         assert!(n_networks >= 2, "need at least two networks");
         assert!(n_pairs > 0, "need at least one pair");
         let nets = generate_batch(&RandNetConfig::small(), seed, n_networks);
-        let profiles: Vec<WorkloadProfile> =
-            nets.iter().map(|n| WorkloadProfile::measure(chip, n)).collect();
+        // Deterministic low-discrepancy pairing over the network set.
+        let pairs: Vec<(usize, usize)> = (0..n_pairs)
+            .map(|p| {
+                let i = p % n_networks;
+                let j = (p * 7 + 3) % n_networks;
+                if i == j {
+                    (i, (j + 1) % n_networks)
+                } else {
+                    (i, j)
+                }
+            })
+            .collect();
+        let mut coruns = pairs.clone();
+        coruns.sort_unstable();
+        coruns.dedup();
+
+        let solo = WorkloadProfile::solo_config(chip);
+        let runs: Vec<(&SystemConfig, Vec<_>)> = nets
+            .iter()
+            .map(|n| (&solo, vec![n.clone()]))
+            .chain(coruns.iter().map(|&(i, j)| (chip, vec![nets[i].clone(), nets[j].clone()])))
+            .collect();
+        let reports = fan.map(&runs, |(cfg, ws)| Simulation::execute_networks(cfg, ws));
+        let (solos, coran) = reports.split_at(n_networks);
+        let profiles: Vec<WorkloadProfile> = solos.iter().map(WorkloadProfile::of_solo).collect();
 
         let mut samples = Vec::with_capacity(2 * n_pairs);
-        for p in 0..n_pairs {
-            // Deterministic low-discrepancy pairing over the network set.
-            let i = p % n_networks;
-            let j = (p * 7 + 3) % n_networks;
-            let (i, j) = if i == j { (i, (j + 1) % n_networks) } else { (i, j) };
-            let r = Simulation::execute_networks(chip, &[nets[i].clone(), nets[j].clone()]);
+        for &(i, j) in &pairs {
+            let r = &coran[coruns.binary_search(&(i, j)).expect("every pairing ran")];
             let sa = r.cores[0].cycles as f64 / profiles[i].solo_cycles as f64;
             let sb = r.cores[1].cycles as f64 / profiles[j].solo_cycles as f64;
             samples.push(TrainingSample {

@@ -1,6 +1,6 @@
 //! Solo workload profiles — the predictor's only inputs.
 
-use mnpu_engine::{Simulation, SystemConfig};
+use mnpu_engine::{ProbeMode, RunReport, Simulation, SystemConfig};
 use mnpu_model::Network;
 
 /// The profiled characteristics of one workload running *alone* with all
@@ -19,15 +19,34 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
-    /// Profile `net` by running it solo on the `Ideal` derivative of `chip`
-    /// (all shareable resources monopolized).
+    /// The configuration a workload of `chip` is profiled on: the `Ideal`
+    /// derivative of `chip` (all shareable resources monopolized), with no
+    /// probe, no request log and no bandwidth trace. A profile reads only
+    /// cycles, PE utilization and traffic, which none of those settings
+    /// changes, so profiling never records into the telemetry of the run
+    /// that asked for it.
+    pub fn solo_config(chip: &SystemConfig) -> SystemConfig {
+        let mut cfg = chip.ideal_solo();
+        cfg.probe = ProbeMode::None;
+        cfg.request_log = false;
+        cfg.request_log_cap = None;
+        cfg.trace_window = None;
+        cfg
+    }
+
+    /// Profile `net` by running it solo on [`WorkloadProfile::solo_config`]
+    /// of `chip`.
     ///
     /// # Panics
     ///
     /// Panics if the chip configuration is invalid.
     pub fn measure(chip: &SystemConfig, net: &Network) -> Self {
-        let cfg = chip.ideal_solo();
-        let r = Simulation::execute_networks(&cfg, std::slice::from_ref(net));
+        let cfg = WorkloadProfile::solo_config(chip);
+        WorkloadProfile::of_solo(&Simulation::execute_networks(&cfg, std::slice::from_ref(net)))
+    }
+
+    /// The profile of the single-core run `r`.
+    pub(crate) fn of_solo(r: &RunReport) -> Self {
         let c = &r.cores[0];
         WorkloadProfile {
             name: c.workload.clone(),
@@ -65,5 +84,23 @@ mod tests {
         let chip = SystemConfig::bench(2, SharingLevel::PlusDwt);
         let net = zoo::ncf(Scale::Bench);
         assert_eq!(WorkloadProfile::measure(&chip, &net), WorkloadProfile::measure(&chip, &net));
+    }
+
+    #[test]
+    fn observation_settings_do_not_reach_the_solo_config() {
+        let plain = SystemConfig::bench(2, SharingLevel::PlusDwt);
+        let mut watched = plain.clone();
+        watched.probe = ProbeMode::Flight;
+        watched.request_log = true;
+        watched.request_log_cap = Some(64);
+        watched.trace_window = Some(4096);
+        assert_eq!(WorkloadProfile::solo_config(&watched), WorkloadProfile::solo_config(&plain));
+        let net = zoo::ncf(Scale::Bench);
+        let mut stats = plain.clone();
+        stats.probe = ProbeMode::Stats;
+        stats.trace_window = Some(4096);
+        let observed =
+            Simulation::execute_networks(&stats.ideal_solo(), std::slice::from_ref(&net));
+        assert_eq!(WorkloadProfile::of_solo(&observed), WorkloadProfile::measure(&plain, &net));
     }
 }

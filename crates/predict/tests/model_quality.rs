@@ -1,14 +1,14 @@
 //! End-to-end predictor quality: trained on random networks, the slowdown
 //! model must rank real co-runner interference in the right order.
 
-use mnpu_engine::{SharingLevel, Simulation, SystemConfig};
+use mnpu_engine::{FanOut, SharingLevel, Simulation, SystemConfig};
 use mnpu_model::{zoo, Scale};
 use mnpu_predict::{SlowdownModel, WorkloadProfile};
 
 #[test]
 fn predictions_correlate_with_measured_slowdowns() {
     let chip = SystemConfig::bench(2, SharingLevel::PlusDwt);
-    let model = SlowdownModel::train_on_random_networks(&chip, 8, 16, 42);
+    let model = SlowdownModel::train_on_random_networks(&chip, 8, 16, 42, FanOut::new());
 
     // Measure a handful of real pairs and compare rankings.
     let names = ["res", "dlrm", "ncf", "gpt2"];
@@ -54,7 +54,7 @@ fn predictions_correlate_with_measured_slowdowns() {
 #[test]
 fn predictor_identifies_the_noisiest_coruner() {
     let chip = SystemConfig::bench(2, SharingLevel::PlusDwt);
-    let model = SlowdownModel::train_on_random_networks(&chip, 8, 16, 42);
+    let model = SlowdownModel::train_on_random_networks(&chip, 8, 16, 42, FanOut::new());
     let victim = WorkloadProfile::measure(&chip, &zoo::yolo_tiny(Scale::Bench));
     let quiet = WorkloadProfile::measure(&chip, &zoo::ncf(Scale::Bench));
     let noisy = WorkloadProfile::measure(&chip, &zoo::dlrm(Scale::Bench));

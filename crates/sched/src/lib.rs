@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 mod arrival;
+mod memo;
 mod policy;
 mod report;
 mod server;

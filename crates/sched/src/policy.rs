@@ -1,11 +1,36 @@
 //! Core-assignment policies: which queued job goes to which free core.
 
+use crate::memo::Memo;
 use mnpu_config::{JobSpec, PolicySpec, ScenarioSpec};
-use mnpu_model::zoo;
+use mnpu_engine::{config_fingerprint, FanOut, SystemConfig};
+use mnpu_model::{zoo, Scale};
 use mnpu_predict::{SlowdownModel, WorkloadProfile};
 use mnpu_snapshot::{Reader, SnapError, Writer};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
+
+/// The predictor's set-up, memoized per process: the paper fits its
+/// slowdown regression once and reuses it, and so does every predictor
+/// policy built on the same chip with the same seed — including the one
+/// [`crate::ServeSession::restore`] rebuilds.
+pub(crate) struct PredictorMemo {
+    /// Trained models, keyed by the training rig's config fingerprint and
+    /// the seed; at most 16.
+    models: Memo<(u64, u64), SlowdownModel>,
+    /// Solo profiles, keyed by the fingerprint of the config they run on
+    /// ([`WorkloadProfile::solo_config`]), the scale and the network name;
+    /// at most 256.
+    profiles: Memo<(u64, Scale, String), WorkloadProfile>,
+}
+
+impl PredictorMemo {
+    pub(crate) const fn new() -> Self {
+        PredictorMemo { models: Memo::new(16), profiles: Memo::new(256) }
+    }
+}
+
+static MEMO: PredictorMemo = PredictorMemo::new();
 
 /// A stateful core-assignment policy, built from a scenario's
 /// [`PolicySpec`] and consulted by the server at every decision point.
@@ -26,44 +51,69 @@ enum Inner {
     Pinned,
     Predictor {
         /// Solo profile per distinct network in the scenario.
-        profiles: HashMap<String, WorkloadProfile>,
-        model: SlowdownModel,
+        profiles: HashMap<String, Arc<WorkloadProfile>>,
+        model: Arc<SlowdownModel>,
     },
+}
+
+impl Inner {
+    /// The predictor for `spec`: the solo profile of every distinct
+    /// network on the scenario chip, and the slowdown model trained on
+    /// the chip's dual-core derivative (the model's features are
+    /// pairwise). Whatever `memo` lacks is simulated on `fan`'s workers.
+    fn predictor(spec: &ScenarioSpec, memo: &PredictorMemo, fan: FanOut) -> Self {
+        let solo_fp = config_fingerprint(&WorkloadProfile::solo_config(&spec.system));
+        let mut names: Vec<&str> = spec.jobs.iter().map(|j| j.network.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        let profiles = fan.map(&names, |&name| {
+            let profile = memo.profiles.get_or_init((solo_fp, spec.scale, name.into()), || {
+                let net = zoo::by_name(name, spec.scale)
+                    .expect("scenario parser validated workload names");
+                WorkloadProfile::measure(&spec.system, &net)
+            });
+            (name.to_string(), profile)
+        });
+        let rig = SystemConfig::bench(2, spec.system.sharing);
+        let model = memo.models.get_or_init((config_fingerprint(&rig), spec.seed), || {
+            SlowdownModel::train_on_random_networks(&rig, 6, 8, spec.seed, fan)
+        });
+        Inner::Predictor { profiles: profiles.into_iter().collect(), model }
+    }
 }
 
 impl Policy {
     /// Build the policy for `spec`. The predictor policy profiles every
     /// distinct network in the job list and trains the slowdown model up
     /// front (deterministically, seeded from the scenario), so `pick`
-    /// itself never simulates anything.
+    /// itself never simulates anything. Its set-up runs on
+    /// [`FanOut::new`]'s workers and is memoized per process (at most 16
+    /// models and 256 profiles), so a later policy on the same chip with
+    /// the same seed simulates nothing.
     pub fn new(spec: &ScenarioSpec) -> Self {
         let inner = match spec.policy {
             PolicySpec::FirstFree => Inner::FirstFree,
             PolicySpec::RoundRobin => Inner::RoundRobin { next: 0 },
             PolicySpec::Pinned => Inner::Pinned,
-            PolicySpec::Predictor => {
-                // Profile on the scenario chip; train pairings on its
-                // dual-core derivative (the model's features are pairwise).
-                let rig = mnpu_engine::SystemConfig::bench(2, spec.system.sharing);
-                let mut profiles = HashMap::new();
-                for job in &spec.jobs {
-                    profiles.entry(job.network.clone()).or_insert_with(|| {
-                        let net = zoo::by_name(&job.network, spec.scale)
-                            .expect("scenario parser validated workload names");
-                        WorkloadProfile::measure(&spec.system, &net)
-                    });
-                }
-                let model = SlowdownModel::train_on_random_networks(&rig, 6, 8, spec.seed);
-                Inner::Predictor { profiles, model }
-            }
+            PolicySpec::Predictor => Inner::predictor(spec, &MEMO, FanOut::new()),
         };
         Policy { inner }
     }
 
+    /// The predictor's trained model (`None` for the other policies).
+    #[cfg(test)]
+    pub(crate) fn model(&self) -> Option<&Arc<SlowdownModel>> {
+        match &self.inner {
+            Inner::Predictor { model, .. } => Some(model),
+            _ => None,
+        }
+    }
+
     /// Serialize the policy's mutable state. Only the round-robin cursor
     /// is mutable; the predictor's profiles and model are deterministic
-    /// functions of the scenario and are rebuilt by [`Policy::new`] on
-    /// restore rather than serialized.
+    /// functions of the scenario and are rebuilt by [`Policy::new`] (from
+    /// the memo, when it still holds them) on restore rather than
+    /// serialized.
     pub(crate) fn save_state(&self, w: &mut Writer) {
         match &self.inner {
             Inner::FirstFree => w.u8(0),
@@ -198,6 +248,31 @@ mod tests {
         // Nothing dispatchable when only the busy core's job remains.
         let q: VecDeque<usize> = [0].into();
         assert_eq!(p.pick(&q, &spec.jobs, &[1], &running), None);
+    }
+
+    #[test]
+    fn concurrent_predictor_set_ups_for_one_key_train_once() {
+        // A memo of the test's own, so no other test's keys can reach it.
+        let memo = PredictorMemo::new();
+        let spec = parse_scenario(
+            "t",
+            "cores = 2\npolicy = predictor\nseed = 3\njob = ncf\njob = ncf\njob = yt\n",
+        )
+        .unwrap();
+        let start = std::sync::Barrier::new(3);
+        let built = FanOut::with_jobs(3).map(&[(); 3], |_| {
+            start.wait();
+            Inner::predictor(&spec, &memo, FanOut::new())
+        });
+        assert_eq!((memo.models.inits(), memo.profiles.inits()), (1, 2));
+        let models: Vec<Arc<SlowdownModel>> = built
+            .into_iter()
+            .map(|inner| Policy { inner }.model().cloned().expect("a predictor was built"))
+            .collect();
+        assert!(models.iter().all(|m| Arc::ptr_eq(m, &models[0])));
+        // A later set-up on the same key simulates nothing.
+        Inner::predictor(&spec, &memo, FanOut::with_jobs(2));
+        assert_eq!((memo.models.inits(), memo.profiles.inits()), (1, 2));
     }
 
     #[test]

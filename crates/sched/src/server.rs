@@ -10,7 +10,7 @@ use mnpu_config::ScenarioSpec;
 use mnpu_engine::{Advance, Event, NullProbe, Probe, Simulation};
 use mnpu_model::zoo;
 use mnpu_snapshot::{fingerprint, Reader, SimSnapshot, SnapError, Writer, SNAPSHOT_VERSION};
-use mnpu_systolic::WorkloadTrace;
+use mnpu_systolic::{ArchConfig, WorkloadTrace};
 use std::collections::{HashMap, VecDeque};
 
 /// Payload discriminator for the scheduler section of a [`ServeSnapshot`].
@@ -141,10 +141,11 @@ pub struct ServeSession<'s, P: Probe = NullProbe> {
     dispatch_at: Vec<u64>,
     complete_at: Vec<u64>,
     job_core: Vec<usize>,
-    /// Traces memoized per (network, core): presets are homogeneous, but a
-    /// heterogeneous chip compiles the network against the arch of the
-    /// core it actually lands on.
-    traces: HashMap<(String, usize), WorkloadTrace>,
+    /// Traces memoized per (network, core architecture): cores with the
+    /// same architecture share one trace (its layers are shared, not
+    /// copied, on every attach), while a heterogeneous chip compiles the
+    /// network against the arch of the core it actually lands on.
+    traces: HashMap<(String, ArchConfig), WorkloadTrace>,
     next_arr: usize,
     done: usize,
 }
@@ -204,17 +205,18 @@ impl<'s, P: Probe> ServeSession<'s, P> {
     }
 
     fn trace_for(
-        traces: &mut HashMap<(String, usize), WorkloadTrace>,
+        traces: &mut HashMap<(String, ArchConfig), WorkloadTrace>,
         spec: &ScenarioSpec,
         name: &str,
         core: usize,
     ) -> WorkloadTrace {
+        let arch = &spec.system.arch[core];
         traces
-            .entry((name.to_string(), core))
+            .entry((name.to_string(), arch.clone()))
             .or_insert_with(|| {
                 let net = zoo::by_name(name, spec.scale)
                     .expect("scenario parser validated workload names");
-                WorkloadTrace::generate(&net, &spec.system.arch[core])
+                WorkloadTrace::generate(&net, arch)
             })
             .clone()
     }
@@ -484,6 +486,25 @@ mod tests {
             assert_eq!(span.dispatch, rec.dispatch);
             assert_eq!(span.completion, rec.completion);
         }
+    }
+
+    #[test]
+    fn restore_reuses_the_memoized_predictor() {
+        // A seed no other test uses, so this test owns its memo keys.
+        let spec = parse_scenario(
+            "t",
+            "cores = 2\nseed = 2718\npattern = bursty:3:5000\npolicy = predictor\n\
+             job = ncf\njob = yt\njob = ncf\njob = yt\n",
+        )
+        .unwrap();
+        let mut session = ServeSession::new(&spec);
+        session.step();
+        let mut restored = ServeSession::restore(&spec, session.snapshot()).unwrap();
+        let (a, b) = (session.policy.model(), restored.policy.model());
+        assert!(std::sync::Arc::ptr_eq(a.unwrap(), b.unwrap()), "restore trained a new model");
+        session.run();
+        restored.run();
+        assert_eq!(session.into_report().to_json(), restored.into_report().to_json());
     }
 
     #[test]

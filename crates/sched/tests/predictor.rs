@@ -11,7 +11,7 @@
 //! ```
 
 use mnpu_config::parse_scenario;
-use mnpu_engine::{SharingLevel, SystemConfig};
+use mnpu_engine::{FanOut, SharingLevel, SystemConfig};
 use mnpu_predict::SlowdownModel;
 use mnpu_sched::serve;
 
@@ -54,6 +54,15 @@ fn serve_rig_coefficients_at_seed_1_are_pinned() {
     // The rig `Policy::new` trains on: the scenario chip's dual-core
     // derivative, 6 random networks, 8 pairs.
     let rig = SystemConfig::bench(2, SharingLevel::PlusDwt);
-    let model = SlowdownModel::train_on_random_networks(&rig, 6, 8, 1);
+    let model = SlowdownModel::train_on_random_networks(&rig, 6, 8, 1, FanOut::with_jobs(1));
     check_fixture("serve_rig_seed1_weights.txt", &weight_bits(&model));
+}
+
+#[test]
+fn trained_coefficients_are_bit_identical_at_any_worker_count() {
+    let rig = SystemConfig::bench(2, SharingLevel::PlusDwt);
+    for jobs in [2, 4] {
+        let model = SlowdownModel::train_on_random_networks(&rig, 6, 8, 1, FanOut::with_jobs(jobs));
+        check_fixture("serve_rig_seed1_weights.txt", &weight_bits(&model));
+    }
 }

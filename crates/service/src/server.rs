@@ -28,7 +28,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mnpu_bench::{sweeps, Harness, SweepExecutor};
+use mnpu_bench::{sweeps, Harness};
+use mnpu_engine::FanOut;
 use mnpu_metrics::prom;
 use mnpu_snapshot::json;
 use mnpu_trace::{JobPhase, TraceHandle};
@@ -411,7 +412,7 @@ fn execute(
                 match sweeps::run_counts_observed(
                     &inner.harness,
                     &reqs,
-                    SweepExecutor::new(),
+                    FanOut::new(),
                     Some(trace),
                     &mut should_stop,
                 ) {

@@ -8,6 +8,7 @@
 //!
 //! Defaults to one copy of every benchmark.
 
+use mnpusim::engine::FanOut;
 use mnpusim::predict::mapping::{matching_slowdowns, perfect_matchings};
 use mnpusim::prelude::*;
 use mnpusim::{geomean, zoo, Scale, SlowdownModel, WorkloadProfile};
@@ -24,12 +25,12 @@ fn main() {
 
     let chip = SystemConfig::bench(2, SharingLevel::PlusDwt);
 
-    println!("profiling {} workloads solo...", nets.len());
-    let profiles: Vec<WorkloadProfile> =
-        nets.iter().map(|n| WorkloadProfile::measure(&chip, n)).collect();
+    let fan = FanOut::new();
+    println!("profiling {} workloads solo on {} workers...", nets.len(), fan.jobs());
+    let profiles = fan.map(&nets, |n| WorkloadProfile::measure(&chip, n));
 
     println!("training slowdown model on random networks...");
-    let model = SlowdownModel::train_on_random_networks(&chip, 10, 20, 7);
+    let model = SlowdownModel::train_on_random_networks(&chip, 10, 20, 7, fan);
 
     // Choose the matching with the best predicted geomean speedup.
     let predicted = |i: usize, j: usize| {

@@ -122,7 +122,8 @@ fn quad_core_end_to_end_with_metrics() {
 fn prediction_pipeline_runs_end_to_end() {
     use mnpusim::{SlowdownModel, WorkloadProfile};
     let chip = SystemConfig::bench(2, SharingLevel::PlusDwt);
-    let model = SlowdownModel::train_on_random_networks(&chip, 4, 4, 99);
+    let model =
+        SlowdownModel::train_on_random_networks(&chip, 4, 4, 99, mnpusim::engine::FanOut::new());
     let a = WorkloadProfile::measure(&chip, &zoo::ncf(Scale::Bench));
     let b = WorkloadProfile::measure(&chip, &zoo::gpt2(Scale::Bench));
     let s = model.predict_slowdown(&a, &b);

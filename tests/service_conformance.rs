@@ -22,7 +22,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use mnpu_bench::{sweeps, Harness, SweepExecutor};
+use mnpu_bench::{sweeps, Harness};
 use mnpu_config::parse_scenario;
 use mnpu_service::{Service, ServiceConfig};
 use mnpusim::prelude::*;
@@ -153,7 +153,7 @@ fn daemon_tiny_sweep_is_byte_identical_to_run_counts() {
 /// completes after the cancel — and the daemon serves the next job.
 #[test]
 fn cancelled_fig04_sweep_stops_within_one_unit_per_worker() {
-    let workers = SweepExecutor::new().jobs() as u64;
+    let workers = mnpusim::engine::FanOut::new().jobs() as u64;
     let svc = Service::start(ServiceConfig::default()).unwrap();
     let addr = svc.addr();
     let id = submit(addr, r#"{"kind":"sweep","sweep":"fig04"}"#);

@@ -7,7 +7,9 @@
 //! bytes a resume produces — byte-identical to the unobserved run. Each
 //! test here pins one face of that contract.
 
+use mnpusim::engine::FlightProbe;
 use mnpusim::prelude::*;
+use mnpusim::sched::ServeSession;
 use mnpusim::trace::TraceHandle;
 use mnpusim::{zoo, ProbeMode, RunControl};
 
@@ -125,4 +127,28 @@ fn flight_probe_checkpoint_round_trips_like_none() {
             other => panic!("resumed run must finish, got {other:?}"),
         };
     assert_eq!(expected, resumed, "flight-probe checkpoint/resume diverged from probe-none");
+}
+
+#[test]
+fn predictor_set_up_records_nothing_into_the_jobs_telemetry() {
+    // A chip and a seed no other test uses, so the predictor's profiles
+    // and model are simulated here, under the installed handle, rather
+    // than read back from the per-process memo.
+    let telemetry_after_set_up = |policy: &str| {
+        let text = format!(
+            "cores = 3\nsharing = +DW\nseed = 1619\npolicy = {policy}\njob = ncf\njob = dlrm\n"
+        );
+        let mut spec = mnpusim::config::parse_scenario("t", &text).unwrap();
+        spec.system.probe = ProbeMode::Flight;
+        spec.system.request_log = true;
+        spec.system.trace_window = Some(4096);
+        let trace = TraceHandle::new();
+        let _g = mnpusim::trace::install(&trace);
+        let session = ServeSession::with_probe(&spec, FlightProbe::default());
+        assert_eq!(session.now(), 0, "set-up simulated no cycle of the session");
+        (trace.events().len(), trace.progress().snapshot().traffic)
+    };
+    // Whatever building the idle chip records, the predictor's profiling
+    // and training simulations add nothing to it.
+    assert_eq!(telemetry_after_set_up("predictor"), telemetry_after_set_up("first_free"));
 }
