@@ -21,8 +21,7 @@
 //! * `--tiny` — a 5-simulation smoke workload including one warm-start
 //!   prefix group (CI: catches pathological slowdowns or panics in the
 //!   bench path without paying for the sweep);
-//! * `--label NAME` — label recorded in the JSON entry (default `current`;
-//!   `MNPU_BENCH_LABEL` works too);
+//! * `--label NAME` — label recorded in the JSON entry (default `current`);
 //! * `--probe-stats` — run every simulation with the statistics probe
 //!   ([`mnpu_engine::ProbeMode::Stats`]) instead of the zero-cost null
 //!   probe, to measure the observability overhead;
@@ -51,7 +50,7 @@
 //! `simulated_cycles` and `dram_transactions` are identical in both modes
 //! (the entry's `prefix_share` field says which one ran).
 
-use mnpu_bench::{prefix_share_enabled, sweeps, Harness, SweepCounts};
+use mnpu_bench::{history, prefix_share_enabled, sweeps, Harness, SweepCounts};
 use mnpu_engine::{Emit, FanOut, Format, ProbeMode};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -68,40 +67,6 @@ fn run_sweep(h: &Harness, reqs: &[sweeps::SweepRequest]) -> SweepResult {
     let t0 = Instant::now();
     let counts = sweeps::run_counts(h, reqs);
     SweepResult { wall_seconds: t0.elapsed().as_secs_f64(), counts }
-}
-
-/// Append `entry` to the JSON array in `path` (created when missing). The
-/// file stays a plain JSON array of objects, one entry per line.
-fn append_entry(path: &PathBuf, entry: &str) -> std::io::Result<()> {
-    let body = match std::fs::read_to_string(path) {
-        Ok(text) => {
-            let inner = text.trim().trim_start_matches('[').trim_end_matches(']').trim();
-            if inner.is_empty() {
-                format!("[\n{entry}\n]\n")
-            } else {
-                format!("[\n{inner},\n{entry}\n]\n")
-            }
-        }
-        Err(_) => format!("[\n{entry}\n]\n"),
-    };
-    std::fs::write(path, body)
-}
-
-/// Newest `"label":"baseline"` entry of `mode` in the bench-history file:
-/// its `simulated_cycles_per_sec`. Entries are one object per line, written
-/// by this binary, so a line-wise scan is an honest parser for them.
-fn baseline_cycles_per_sec(path: &PathBuf, mode: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mode_tag = format!("\"mode\":\"{mode}\"");
-    text.lines()
-        .filter(|l| l.contains("\"label\":\"baseline\"") && l.contains(&mode_tag))
-        .filter_map(|l| {
-            let rest = l.split("\"simulated_cycles_per_sec\":").nth(1)?;
-            let num: String =
-                rest.chars().take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-').collect();
-            num.parse::<f64>().ok()
-        })
-        .next_back()
 }
 
 /// Time one recorder-on pass: the sweep runs with a
@@ -190,9 +155,7 @@ fn main() {
     let probe_stats = args.iter().any(|a| a == "--probe-stats");
     let arg_value =
         |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
-    let label = arg_value("--label")
-        .or_else(|| std::env::var("MNPU_BENCH_LABEL").ok())
-        .unwrap_or_else(|| "current".to_string());
+    let label = arg_value("--label").unwrap_or_else(|| "current".to_string());
     let csv_path = arg_value("--csv").map(PathBuf::from);
     let check_path = arg_value("--check").map(PathBuf::from);
     let repeat = arg_value("--repeat")
@@ -250,44 +213,8 @@ fn main() {
         eprintln!("stats CSV written to {}", path.display());
     }
 
-    let out = std::env::var("MNPU_BENCH_OUT").map(PathBuf::from).unwrap_or_else(|_| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hotpath.json")
-    });
-    match append_entry(&out, &entry) {
-        Ok(()) => eprintln!("appended to {}", out.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
-
+    history::record("BENCH_hotpath.json", &entry);
     if let Some(path) = &check_path {
-        let tolerance = std::env::var("MNPU_BENCH_TOLERANCE")
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .unwrap_or(0.95);
-        match baseline_cycles_per_sec(path, mode) {
-            Some(base) => {
-                let floor = base * tolerance;
-                if cycles_per_sec < floor {
-                    eprintln!(
-                        "PERF REGRESSION: {cycles_per_sec:.0} cycles/s < {floor:.0} \
-                         ({tolerance:.2} x baseline {base:.0}, mode {mode})"
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "perf check ok: {cycles_per_sec:.0} cycles/s >= {floor:.0} \
-                     ({tolerance:.2} x baseline {base:.0}, mode {mode})"
-                );
-            }
-            None => {
-                eprintln!(
-                    "no \"baseline\"-labeled {mode} entry in {} — cannot check",
-                    path.display()
-                );
-                std::process::exit(2);
-            }
-        }
+        history::check(path, mode, "simulated_cycles_per_sec", cycles_per_sec, "cycles/s", 0);
     }
 }

@@ -1,10 +1,11 @@
 //! Wall-clock throughput benchmark for the serve-mode scheduling layer.
 //!
-//! Runs a list of scheduling scenarios through [`mnpu_bench::ServeExecutor`]
-//! (respecting `MNPU_JOBS`), measuring end-to-end wall seconds, served
-//! jobs per wall second and simulated makespan cycles, and appends the
-//! result to `BENCH_serve.json` at the repository root — the scheduling
-//! layer's perf trajectory across PRs.
+//! Serves a list of scheduling scenarios, one [`mnpu_sched::serve`] call
+//! per scenario through [`mnpu_engine::FanOut`] (respecting `MNPU_JOBS`),
+//! measuring end-to-end wall seconds, served jobs per wall second and
+//! simulated makespan cycles, and appends the result to
+//! `BENCH_serve.json` at the repository root — the scheduling layer's
+//! perf trajectory across PRs.
 //!
 //! Usage:
 //!
@@ -17,21 +18,20 @@
 //! * `--scenario PATH` — load one scenario file
 //!   ([`mnpu_config::load_scenario`] format) instead of the built-in list
 //!   and print its per-job records plus a completion-latency CDF;
-//! * `--label NAME` — label recorded in the JSON entry (default `current`;
-//!   `MNPU_BENCH_LABEL` works too);
+//! * `--label NAME` — label recorded in the JSON entry (default `current`);
 //! * `--check PATH` — compare this run's `jobs_per_sec` against the newest
 //!   same-mode `"baseline"`-labeled entry in `PATH` and exit non-zero
 //!   below `MNPU_BENCH_TOLERANCE` (default 0.95) of it;
-//! * `--repeat N` — serve the list `N` times, each on a fresh executor,
-//!   and keep the fastest (defaults to 5 under `--tiny`, 1 otherwise).
+//! * `--repeat N` — serve the list `N` times and keep the fastest
+//!   (defaults to 5 under `--tiny`, 1 otherwise).
 //!
 //! `MNPU_BENCH_OUT` overrides the output path.
 
-use mnpu_bench::ServeExecutor;
+use mnpu_bench::history;
 use mnpu_config::{load_scenario, parse_scenario, ScenarioSpec};
-use mnpu_sched::ServeReport;
+use mnpu_engine::FanOut;
+use mnpu_sched::{serve, ServeReport};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 struct ServeSweep {
@@ -39,14 +39,13 @@ struct ServeSweep {
     jobs: usize,
     wall_seconds: f64,
     simulated_cycles: u64,
-    reports: Vec<Arc<ServeReport>>,
+    reports: Vec<ServeReport>,
 }
 
-/// Serve every scenario on a fresh executor (no memo hits — this is a
-/// throughput benchmark, every run must simulate).
+/// Serve every scenario, reports in scenario order.
 fn run_sweep(specs: &[ScenarioSpec]) -> ServeSweep {
     let t0 = Instant::now();
-    let reports = ServeExecutor::new().run_scenarios(specs);
+    let reports = FanOut::new().map(specs, serve);
     let wall_seconds = t0.elapsed().as_secs_f64();
     ServeSweep {
         scenarios: specs.len(),
@@ -97,40 +96,6 @@ fn tiny_scenarios() -> Vec<ScenarioSpec> {
     ]
 }
 
-/// Append `entry` to the JSON array in `path` (created when missing). The
-/// file stays a plain JSON array of objects, one entry per line.
-fn append_entry(path: &PathBuf, entry: &str) -> std::io::Result<()> {
-    let body = match std::fs::read_to_string(path) {
-        Ok(text) => {
-            let inner = text.trim().trim_start_matches('[').trim_end_matches(']').trim();
-            if inner.is_empty() {
-                format!("[\n{entry}\n]\n")
-            } else {
-                format!("[\n{inner},\n{entry}\n]\n")
-            }
-        }
-        Err(_) => format!("[\n{entry}\n]\n"),
-    };
-    std::fs::write(path, body)
-}
-
-/// Newest `"label":"baseline"` entry of `mode` in the bench-history file:
-/// its `jobs_per_sec`. Entries are one object per line, written by this
-/// binary, so a line-wise scan is an honest parser for them.
-fn baseline_jobs_per_sec(path: &PathBuf, mode: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mode_tag = format!("\"mode\":\"{mode}\"");
-    text.lines()
-        .filter(|l| l.contains("\"label\":\"baseline\"") && l.contains(&mode_tag))
-        .filter_map(|l| {
-            let rest = l.split("\"jobs_per_sec\":").nth(1)?;
-            let num: String =
-                rest.chars().take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-').collect();
-            num.parse::<f64>().ok()
-        })
-        .next_back()
-}
-
 /// Print the scenario's per-job records and its completion-latency CDF —
 /// the raw material for the latency-CDF figure in EXPERIMENTS.md.
 fn print_scenario_report(report: &ServeReport) {
@@ -179,9 +144,7 @@ fn main() {
     let tiny = args.iter().any(|a| a == "--tiny");
     let arg_value =
         |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
-    let label = arg_value("--label")
-        .or_else(|| std::env::var("MNPU_BENCH_LABEL").ok())
-        .unwrap_or_else(|| "current".to_string());
+    let label = arg_value("--label").unwrap_or_else(|| "current".to_string());
     let scenario_path = arg_value("--scenario").map(PathBuf::from);
     let check_path = arg_value("--check").map(PathBuf::from);
     let repeat = arg_value("--repeat")
@@ -190,8 +153,8 @@ fn main() {
         .max(1);
 
     // The throughput benchmark must always measure real simulations (the
-    // sweep run cache is not used by serve mode, but traces are regenerated
-    // per run either way; a fresh executor per repeat defeats the memo).
+    // sweep run cache is not used by serve mode, and every repeat serves
+    // every scenario again).
     std::env::set_var("MNPU_NO_CACHE", "1");
 
     let (mode, specs) = if let Some(path) = &scenario_path {
@@ -229,44 +192,8 @@ fn main() {
     );
     println!("{entry}");
 
-    let out = std::env::var("MNPU_BENCH_OUT").map(PathBuf::from).unwrap_or_else(|_| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")
-    });
-    match append_entry(&out, &entry) {
-        Ok(()) => eprintln!("appended to {}", out.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
-
+    history::record("BENCH_serve.json", &entry);
     if let Some(path) = &check_path {
-        let tolerance = std::env::var("MNPU_BENCH_TOLERANCE")
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .unwrap_or(0.95);
-        match baseline_jobs_per_sec(path, mode) {
-            Some(base) => {
-                let floor = base * tolerance;
-                if jobs_per_sec < floor {
-                    eprintln!(
-                        "PERF REGRESSION: {jobs_per_sec:.2} jobs/s < {floor:.2} \
-                         ({tolerance:.2} x baseline {base:.2}, mode {mode})"
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "perf check ok: {jobs_per_sec:.2} jobs/s >= {floor:.2} \
-                     ({tolerance:.2} x baseline {base:.2}, mode {mode})"
-                );
-            }
-            None => {
-                eprintln!(
-                    "no \"baseline\"-labeled {mode} entry in {} — cannot check",
-                    path.display()
-                );
-                std::process::exit(2);
-            }
-        }
+        history::check(path, mode, "jobs_per_sec", jobs_per_sec, "jobs/s", 2);
     }
 }

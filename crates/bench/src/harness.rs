@@ -6,7 +6,7 @@ use mnpu_systolic::{ArchConfig, WorkloadTrace};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Bump to invalidate cached run results after simulator changes.
@@ -28,14 +28,44 @@ pub(crate) fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// Read a run-cache file. A file whose version header does not match is
+/// deleted and reads as empty.
+fn load(path: &Path) -> HashMap<u64, Vec<u64>> {
+    let mut entries = HashMap::new();
+    let Ok(text) = fs::read_to_string(path) else { return entries };
+    let mut lines = text.lines();
+    if lines.next() != Some(cache_header().as_str()) {
+        // Wrong or missing version header: drop the stale file.
+        let _ = fs::remove_file(path);
+        return entries;
+    }
+    for line in lines {
+        let mut it = line.split('\t');
+        let (Some(k), Some(v)) = (it.next(), it.next()) else { continue };
+        let Ok(key) = k.parse::<u64>() else { continue };
+        let cycles: Vec<u64> = v.split(',').filter_map(|c| c.parse().ok()).collect();
+        if !cycles.is_empty() {
+            entries.insert(key, cycles);
+        }
+    }
+    entries
+}
+
 /// The memoized run results and where they persist.
 #[derive(Debug)]
 struct CacheState {
-    entries: HashMap<u64, Vec<u64>>,
+    /// `None` until the first lookup reads the file.
+    entries: Option<HashMap<u64, Vec<u64>>>,
     path: Option<PathBuf>,
 }
 
 impl CacheState {
+    /// The memoized results, read from the backing file on first use.
+    fn entries(&mut self) -> &mut HashMap<u64, Vec<u64>> {
+        let path = self.path.as_deref();
+        self.entries.get_or_insert_with(|| path.map(load).unwrap_or_default())
+    }
+
     /// Rewrite the backing file (header line first).
     fn flush(&self) {
         let Some(p) = &self.path else { return };
@@ -44,7 +74,7 @@ impl CacheState {
         }
         let mut out = cache_header();
         out.push('\n');
-        for (k, v) in &self.entries {
+        for (k, v) in self.entries.iter().flatten() {
             let cycles: Vec<String> = v.iter().map(u64::to_string).collect();
             out.push_str(&format!("{k}\t{}\n", cycles.join(",")));
         }
@@ -86,9 +116,10 @@ impl Default for Harness {
 }
 
 impl Harness {
-    /// Build the harness at bench scale, loading any existing run cache.
-    /// A cache file whose version header does not match `CACHE_VERSION`
-    /// is discarded entirely.
+    /// Build the harness at bench scale. The run cache file is read on the
+    /// first lookup of cached cycles, not here, so a harness that only runs
+    /// full reports never touches it; a file whose version header does not
+    /// match `CACHE_VERSION` is then discarded entirely.
     pub fn new() -> Self {
         let networks = zoo::all(Scale::Bench);
         let cache_path = if std::env::var_os("MNPU_NO_CACHE").is_some() {
@@ -101,31 +132,10 @@ impl Harness {
                 .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target"));
             Some(target.join("mnpu_run_cache.tsv"))
         };
-        let mut entries = HashMap::new();
-        if let Some(p) = &cache_path {
-            if let Ok(text) = fs::read_to_string(p) {
-                let mut lines = text.lines();
-                if lines.next() == Some(cache_header().as_str()) {
-                    for line in lines {
-                        let mut it = line.split('\t');
-                        let (Some(k), Some(v)) = (it.next(), it.next()) else { continue };
-                        let Ok(key) = k.parse::<u64>() else { continue };
-                        let cycles: Vec<u64> =
-                            v.split(',').filter_map(|c| c.parse().ok()).collect();
-                        if !cycles.is_empty() {
-                            entries.insert(key, cycles);
-                        }
-                    }
-                } else {
-                    // Wrong or missing version header: drop the stale file.
-                    let _ = fs::remove_file(p);
-                }
-            }
-        }
         Harness {
             networks: Arc::new(networks),
             traces: Arc::new(Mutex::new(HashMap::new())),
-            cache: Arc::new(Mutex::new(CacheState { entries, path: cache_path })),
+            cache: Arc::new(Mutex::new(CacheState { entries: None, path: cache_path })),
         }
     }
 
@@ -169,7 +179,18 @@ impl Harness {
     /// The memoized result of a run, if it is already cached.
     pub(crate) fn cached(&self, cfg: &SystemConfig, workloads: &[usize]) -> Option<Vec<u64>> {
         let key = Harness::key(cfg, workloads);
-        self.cache.lock().expect("cache lock").entries.get(&key).cloned()
+        self.cache.lock().expect("cache lock").entries().get(&key).cloned()
+    }
+
+    /// Memoize each finished run's per-core cycles under its
+    /// [`Harness::key`], in memory and on disk.
+    pub(crate) fn memoize<'r>(&self, runs: impl IntoIterator<Item = (u64, &'r RunReport)>) {
+        let mut cache = self.cache.lock().expect("cache lock");
+        let entries = cache.entries();
+        for (key, report) in runs {
+            entries.insert(key, report.cores.iter().map(|c| c.cycles).collect());
+        }
+        cache.flush();
     }
 
     /// The memoized trace of `workload` on `arch`. The lock is held across
@@ -193,19 +214,13 @@ impl Harness {
     /// index is out of range.
     pub fn run_mix(&self, cfg: &SystemConfig, workloads: &[usize]) -> Vec<u64> {
         assert_eq!(workloads.len(), cfg.cores, "one workload per core");
-        let key = Harness::key(cfg, workloads);
-        if let Some(c) = self.cache.lock().expect("cache lock").entries.get(&key) {
+        if let Some(cycles) = self.cached(cfg, workloads) {
             mnpu_trace::counters::add_run_cache_hit();
-            return c.clone();
+            return cycles;
         }
-        let traces: Vec<WorkloadTrace> =
-            workloads.iter().zip(&cfg.arch).map(|(&w, a)| self.trace_for(w, a)).collect();
-        let report = Simulation::execute(cfg, &traces);
-        let cycles: Vec<u64> = report.cores.iter().map(|c| c.cycles).collect();
-        let mut cache = self.cache.lock().expect("cache lock");
-        cache.entries.insert(key, cycles.clone());
-        cache.flush();
-        cycles
+        let report = self.run_report(cfg, workloads);
+        self.memoize([(Harness::key(cfg, workloads), &report)]);
+        report.cores.iter().map(|c| c.cycles).collect()
     }
 
     /// Run `workloads[i]` on core *i* of `cfg` and return the full
@@ -217,7 +232,7 @@ impl Harness {
     ///
     /// Panics if the workload count does not match the core count or an
     /// index is out of range.
-    pub fn run_report(&self, cfg: &SystemConfig, workloads: &[usize]) -> mnpu_engine::RunReport {
+    pub fn run_report(&self, cfg: &SystemConfig, workloads: &[usize]) -> RunReport {
         assert_eq!(workloads.len(), cfg.cores, "one workload per core");
         let traces: Vec<WorkloadTrace> =
             workloads.iter().zip(&cfg.arch).map(|(&w, a)| self.trace_for(w, a)).collect();
@@ -296,19 +311,6 @@ impl Harness {
             reports.push(sim.into_report());
         }
         reports
-    }
-
-    /// Run a prefix-sharing group through [`Harness::run_reports_shared`]
-    /// and memoize each member's per-core cycles exactly as
-    /// [`Harness::run_mix`] would.
-    pub(crate) fn run_mix_group(&self, cfgs: &[SystemConfig], workloads: &[usize]) {
-        let reports = self.run_reports_shared(cfgs, workloads);
-        let mut cache = self.cache.lock().expect("cache lock");
-        for (cfg, report) in cfgs.iter().zip(&reports) {
-            let cycles = report.cores.iter().map(|c| c.cycles).collect();
-            cache.entries.insert(Harness::key(cfg, workloads), cycles);
-        }
-        cache.flush();
     }
 
     /// Cycles of workload `w` running alone with all of `chip`'s resources

@@ -6,7 +6,8 @@
 //! the workload zoo at the active scale, Ideal baselines, mix enumeration
 //! and a persistent run cache (`target/mnpu_run_cache.tsv`) so that figures
 //! sharing sweeps (e.g. Figs. 4 and 6 both need the 36-mix dual sweep) don't
-//! re-simulate.
+//! re-simulate. The [`history`] module keeps the `BENCH_*.json` perf
+//! trajectories the `mnpu_hotpath` and `mnpu_serve` binaries append to.
 //!
 //! Environment knobs (read once per process):
 //!
@@ -16,10 +17,10 @@
 //! * `MNPU_NO_CACHE=1` — ignore and don't write the run cache;
 //! * `MNPU_JOBS=n` — worker threads for [`mnpu_engine::FanOut`], the one
 //!   fan-out that every sweep driver ([`run_counts`], [`run_mixes`] and
-//!   the figure sweeps, [`ServeExecutor`]) and the serve predictor's
-//!   set-up go through (default: available parallelism; `1` = serial on
-//!   the calling thread; a fan-out started inside a fan-out unit runs
-//!   inline). Results are byte-identical for any `n`; wall times are not,
+//!   the figure sweeps, the `mnpu_serve` scenario list) and the serve
+//!   predictor's set-up go through (default: available parallelism;
+//!   `1` = serial on the calling thread; a fan-out started inside a
+//!   fan-out unit runs inline). Results are byte-identical for any `n`; wall times are not,
 //!   so report them with the worker count and
 //!   [`std::thread::available_parallelism`];
 //! * `MNPU_NO_PREFIX_SHARE=1` — disable warm-start prefix sharing (the
@@ -31,11 +32,10 @@
 
 pub mod figures;
 pub mod harness;
+pub mod history;
 pub mod prefix;
-pub mod serve_exec;
 pub mod sweeps;
 
 pub use harness::Harness;
 pub use prefix::{plan_units, prefix_share_enabled, SweepUnit};
-pub use serve_exec::ServeExecutor;
 pub use sweeps::{run_counts, run_counts_observed, run_mixes, SweepCounts, SweepRequest};

@@ -11,6 +11,8 @@
 use crate::{plan_units, Harness, SweepUnit};
 use mnpu_engine::{FanOut, RunReport, SharingLevel, SystemConfig};
 use mnpu_predict::mapping::multisets;
+use std::borrow::Borrow;
+use std::collections::HashSet;
 use std::sync::Mutex;
 
 /// One sweep request: a system configuration plus zoo workload indices,
@@ -125,20 +127,7 @@ pub fn run_counts_observed(
         0u64,
     ));
     let finished = fan.run(&units, should_stop, |unit| {
-        let ran: Vec<(usize, RunReport)> = match unit {
-            SweepUnit::Single(i) => {
-                let (cfg, ws) = &reqs[*i];
-                vec![(*i, h.run_report(cfg, ws))]
-            }
-            SweepUnit::Group(members) => {
-                let cfgs: Vec<SystemConfig> = members.iter().map(|&i| reqs[i].0.clone()).collect();
-                members
-                    .iter()
-                    .copied()
-                    .zip(h.run_reports_shared(&cfgs, &reqs[members[0]].1))
-                    .collect()
-            }
-        };
+        let ran = run_unit(h, reqs, unit);
         let mut guard = acc.lock().expect("no unit panics holding the sweep totals");
         let (counts, done_units) = &mut *guard;
         for (i, r) in ran {
@@ -169,25 +158,41 @@ pub fn run_counts_observed(
 pub fn run_mixes(h: &Harness, requests: &[SweepRequest], fan: FanOut) -> Vec<Vec<u64>> {
     // Dedup by cache key and drop already-memoized runs so workers only
     // see fresh work.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     let todo: Vec<&SweepRequest> = requests
         .iter()
         .filter(|(cfg, ws)| seen.insert(Harness::key(cfg, ws)) && h.cached(cfg, ws).is_none())
         .collect();
     let units = plan_units(todo.iter().map(|(cfg, ws)| (cfg, ws.as_slice())));
-    fan.run(&units, &mut || false, |unit| match unit {
-        SweepUnit::Single(i) => {
-            let (cfg, ws) = todo[*i];
-            h.run_mix(cfg, ws);
-        }
-        SweepUnit::Group(members) => {
-            let cfgs: Vec<_> = members.iter().map(|&i| todo[i].0.clone()).collect();
-            h.run_mix_group(&cfgs, &todo[members[0]].1);
-        }
+    fan.run(&units, &mut || false, |unit| {
+        let ran = run_unit(h, &todo, unit);
+        h.memoize(ran.iter().map(|(i, report)| (Harness::key(&todo[*i].0, &todo[*i].1), report)));
     });
 
     // Everything is cached now; assemble results in request order.
     requests.iter().map(|(cfg, ws)| h.run_mix(cfg, ws)).collect()
+}
+
+/// Simulate one unit of `reqs`' plan — a single request, or a warm-start
+/// prefix group through [`Harness::run_reports_shared`] — and return each
+/// member's request index with its full report.
+fn run_unit<R: Borrow<SweepRequest>>(
+    h: &Harness,
+    reqs: &[R],
+    unit: &SweepUnit,
+) -> Vec<(usize, RunReport)> {
+    match unit {
+        SweepUnit::Single(i) => {
+            let (cfg, ws) = reqs[*i].borrow();
+            vec![(*i, h.run_report(cfg, ws))]
+        }
+        SweepUnit::Group(members) => {
+            let cfgs: Vec<SystemConfig> =
+                members.iter().map(|&i| reqs[i].borrow().0.clone()).collect();
+            let ws = &reqs[members[0]].borrow().1;
+            members.iter().copied().zip(h.run_reports_shared(&cfgs, ws)).collect()
+        }
+    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //! against the model zoo ([`ConfigError::UnknownWorkload`]), the policy
 //! name ([`ConfigError::UnknownPolicy`]), the arrival pattern
 //! ([`ConfigError::BadArrivalPattern`]), and the chip through
-//! [`mnpu_engine::SystemConfigBuilder`]'s validation. The scheduler in
+//! [`SystemConfig::validate`]. The scheduler in
 //! `mnpu-sched` consumes the resulting [`ScenarioSpec`].
 
 use crate::error::ConfigError;
@@ -83,8 +83,8 @@ pub struct JobSpec {
 /// A parsed serve scenario: the chip, the jobs, and the scheduling knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// The chip configuration (built through the engine's builder, so it
-    /// has already passed validation).
+    /// The chip configuration (it has already passed
+    /// [`SystemConfig::validate`]).
     pub system: SystemConfig,
     /// Model-zoo scale the job networks are built at.
     pub scale: Scale,
@@ -105,8 +105,8 @@ pub struct ScenarioSpec {
 /// [`ConfigError::Parse`] for malformed lines, plus the typed scenario
 /// variants: [`ConfigError::UnknownWorkload`],
 /// [`ConfigError::UnknownPolicy`], [`ConfigError::BadArrivalPattern`], and
-/// [`ConfigError::Inconsistent`] for a chip that fails engine validation
-/// or a scenario with no jobs.
+/// [`ConfigError::Inconsistent`] for a chip that fails
+/// [`SystemConfig::validate`] or a scenario with no jobs.
 pub fn parse_scenario(file: &str, text: &str) -> Result<ScenarioSpec, ConfigError> {
     // `job` lines repeat, so this needs a hand scan rather than `KvFile`
     // (which rejects duplicate keys).
@@ -161,10 +161,8 @@ pub fn parse_scenario(file: &str, text: &str) -> Result<ScenarioSpec, ConfigErro
             return Err(ConfigError::parse(file, line, format!("unknown preset `{v}`")))
         }
     };
-    // Round-trip through the engine's builder so the chip passes the same
-    // validation as every other configuration front end.
-    let system =
-        system.builder().build().map_err(|e| ConfigError::Inconsistent(format!("{file}: {e}")))?;
+    // The same validation as every other configuration front end.
+    system.validate().map_err(|e| ConfigError::Inconsistent(format!("{file}: {e}")))?;
 
     let scale = match lookup("scale") {
         None | Some((_, "bench")) => Scale::Bench,

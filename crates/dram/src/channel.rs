@@ -122,7 +122,7 @@ pub struct Channel {
     next_refresh: u64,
     refresh_until: u64,
     /// Memoized scheduler pick; see [`NextCand`]. `Cell` so read-only
-    /// queries (`earliest_action`) can fill it lazily.
+    /// queries (`ea_component`) can fill it lazily.
     next_cand: Cell<NextCand>,
     /// Active steady-state run, if any; see [`FastRun`]. While a run is
     /// active, `next_cand` is kept `Dirty` and every query goes through the
@@ -437,39 +437,6 @@ impl Channel {
         }
     }
 
-    /// The earliest cycle at which this channel can commit another command,
-    /// or `None` when the queue is empty.
-    ///
-    /// The device no longer calls this on its hot path — [`crate::Dram`]
-    /// reads the cached [`Channel::ea_component`] instead — but it remains
-    /// the single-channel semantic reference that the cache (and the
-    /// channel-level tests) are held against.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn earliest_action(&self, now: u64) -> Option<u64> {
-        if let Some(run) = self.run {
-            // The run invariant guarantees this equals what a fresh
-            // pick_candidate + issue_time scan would return (the next-event
-            // property tests compare against exactly that), at the cost of
-            // two compares instead of a window rescan.
-            return if self.cfg.timing.trefi > 0 && self.next_refresh <= now {
-                Some(now)
-            } else {
-                Some(run.next_cas.max(now))
-            };
-        }
-        match self.cached_candidate() {
-            NextCand::Empty | NextCand::Dirty => None,
-            NextCand::At { t_cas, .. } => {
-                // A refresh deadline can precede (and gate) the next CAS.
-                if self.cfg.timing.trefi > 0 && self.next_refresh <= now {
-                    Some(now)
-                } else {
-                    Some(t_cas.max(now))
-                }
-            }
-        }
-    }
-
     /// The next cycle at which [`Channel::advance_probed`] can change any
     /// state: the active run's next bus slot, the memoized candidate's
     /// commit cycle, or the refresh deadline — `u64::MAX` when none apply
@@ -478,11 +445,11 @@ impl Channel {
     /// the skipped call is a provable no-op (run slot, candidate and
     /// refresh are exactly the three things the advance loop acts on).
     ///
-    /// Unlike [`Channel::earliest_action`] this *includes* the refresh
-    /// deadline of an idle channel: an overdue refresh is committed (and
-    /// counted in [`ChannelStats::refreshes`]) by `advance_probed` even
-    /// when no transaction is queued, so the attention filter must not
-    /// skip past it.
+    /// Unlike [`Channel::earliest_action_uncached`] this *includes* the
+    /// refresh deadline of an idle channel: an overdue refresh is
+    /// committed (and counted in [`ChannelStats::refreshes`]) by
+    /// `advance_probed` even when no transaction is queued, so the
+    /// attention filter must not skip past it.
     pub(crate) fn next_attention(&self) -> u64 {
         let cand = if let Some(run) = self.run {
             run.next_cas
@@ -499,15 +466,16 @@ impl Channel {
         }
     }
 
-    /// The candidate component of [`Channel::earliest_action`]: the next
-    /// CAS commit cycle (the active run's next slot, else the memoized
-    /// pick), or `u64::MAX` when the queue is empty. The device caches
-    /// this per channel so [`crate::Dram::next_event`] does not touch
-    /// every channel on every wake; the refresh-due branch of
-    /// `earliest_action` needs no cached counterpart because the device
-    /// advances (and re-caches) every channel whose refresh deadline has
-    /// been reached before `next_event` can observe it (`next_refresh >
-    /// now` holds whenever the device is between `advance` calls).
+    /// The candidate component of [`Channel::earliest_action_uncached`]:
+    /// the next CAS commit cycle (the active run's next slot, else the
+    /// memoized pick), or `u64::MAX` when the queue is empty. The device
+    /// caches this per channel so [`crate::Dram::next_event`] does not
+    /// touch every channel on every wake; the refresh-due branch of
+    /// `earliest_action_uncached` needs no cached counterpart because the
+    /// device advances (and re-caches) every channel whose refresh
+    /// deadline has been reached before `next_event` can observe it
+    /// (`next_refresh > now` holds whenever the device is between
+    /// `advance` calls).
     pub(crate) fn ea_component(&self) -> u64 {
         if let Some(run) = self.run {
             return run.next_cas;
@@ -518,9 +486,11 @@ impl Channel {
         }
     }
 
-    /// [`Channel::earliest_action`] recomputed from scratch, bypassing the
-    /// memoized candidate — the reference the next-event property tests
-    /// compare the cache against.
+    /// The earliest cycle at which this channel can commit another command,
+    /// or `None` when the queue is empty, recomputed from scratch and
+    /// bypassing the memoized candidate — the single-channel reference the
+    /// next-event property tests hold the cached [`Channel::ea_component`]
+    /// against, and the clock the channel tests step by.
     #[doc(hidden)]
     pub fn earliest_action_uncached(&self, now: u64) -> Option<u64> {
         let mut next = None;
@@ -947,7 +917,7 @@ mod tests {
         let mut now = 0;
         loop {
             ch.advance(now, &mut out);
-            match ch.earliest_action(now) {
+            match ch.earliest_action_uncached(now) {
                 Some(t) if t <= until => now = t.max(now + 1),
                 _ => break,
             }
@@ -1085,7 +1055,7 @@ mod tests {
         while out.is_empty() {
             ch.advance(now, &mut out);
             if out.is_empty() {
-                now = ch.earliest_action(now).expect("pending work").max(now + 1);
+                now = ch.earliest_action_uncached(now).expect("pending work").max(now + 1);
             }
         }
         assert!(ch.stats().refreshes >= 1);
@@ -1110,7 +1080,7 @@ mod tests {
         while out.is_empty() {
             ch.advance(now, &mut out);
             if out.is_empty() {
-                now = ch.earliest_action(now).expect("pending work").max(now + 1);
+                now = ch.earliest_action_uncached(now).expect("pending work").max(now + 1);
             }
         }
         // No thousand simulated refreshes.

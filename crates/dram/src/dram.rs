@@ -343,11 +343,11 @@ impl Dram {
             // scheduler pick; an enqueue since the last advance stores the
             // 0 ("stale") sentinel and the entry is refilled here (through
             // the `Cell`). The refresh-due branch of
-            // `Channel::earliest_action` has no cached counterpart because
-            // `next_refresh > self.now` holds for every channel between
-            // `advance` calls: the attention filter forces an advance
-            // (which pushes the deadline out) before a due refresh can be
-            // observed here.
+            // `Channel::earliest_action_uncached` has no cached counterpart
+            // because `next_refresh > self.now` holds for every channel
+            // between `advance` calls: the attention filter forces an
+            // advance (which pushes the deadline out) before a due refresh
+            // can be observed here.
             let mut t = self.ch_ea[i].get();
             if t == 0 {
                 t = ch.ea_component();

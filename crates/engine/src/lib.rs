@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 mod arbiter;
-mod builder;
 mod core_rt;
 mod emit;
 mod fanout;
@@ -58,7 +57,6 @@ mod snapshot;
 mod stage;
 mod system;
 
-pub use builder::SystemConfigBuilder;
 pub use emit::{Emit, Format};
 pub use fanout::FanOut;
 pub use memmap::PageTable;

@@ -61,8 +61,7 @@ macro_rules! dispatch_probe {
 }
 
 /// Why a [`SystemConfig`] failed validation. Produced by
-/// [`SystemConfig::validate`] and [`crate::SystemConfigBuilder::build`];
-/// the variants mirror the config surface so callers can match on the
+/// [`SystemConfig::validate`]; the variants mirror the config surface so callers can match on the
 /// precise inconsistency instead of parsing a message.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -170,14 +169,22 @@ impl std::error::Error for ConfigError {}
 /// Configuration of one simulated multi-core NPU chip.
 ///
 /// Quantities in [`MmuConfig`] and `channels_per_core` are *per core*, as in
-/// the paper's Table 2; the builder derives chip totals from the core count
-/// and sharing level (e.g. a dual-core `+DW` chip has 16 walkers in one
-/// shared pool).
+/// the paper's Table 2; the simulation derives chip totals from the core
+/// count and sharing level (e.g. a dual-core `+DW` chip has 16 walkers in
+/// one shared pool).
+///
+/// Start from a preset ([`SystemConfig::bench`], [`SystemConfig::cloud`]),
+/// set fields directly or through the `with_*` helpers, and check the
+/// result with [`SystemConfig::validate`], which returns a typed
+/// [`ConfigError`] instead of letting [`crate::Simulation::new`] panic.
 ///
 /// ```
-/// use mnpu_engine::{SystemConfig, SharingLevel};
+/// use mnpu_engine::{ProbeMode, SystemConfig, SharingLevel};
 ///
-/// let cfg = SystemConfig::cloud(2, SharingLevel::PlusDw);
+/// let mut cfg = SystemConfig::cloud(2, SharingLevel::PlusDw);
+/// cfg.probe = ProbeMode::Stats;
+/// cfg.trace_window = Some(1000);
+/// cfg.validate().expect("preset-derived config is consistent");
 /// assert_eq!(cfg.cores, 2);
 /// assert_eq!(cfg.total_channels(), 8); // 2 x 128 GB/s
 /// ```

@@ -6,16 +6,14 @@
 //! and latches the flag. The flag must then survive serialization in both
 //! the JSON object and the trailing `request_log_truncated` CSV column.
 
-use mnpu_engine::{
-    Emit, Format, RunReport, SharingLevel, Simulation, SystemConfig, SystemConfigBuilder,
-};
+use mnpu_engine::{Emit, Format, RunReport, SharingLevel, Simulation, SystemConfig};
 use mnpu_model::{zoo, Scale};
 
 fn run(cap: Option<usize>) -> RunReport {
-    let cfg = SystemConfigBuilder::from_config(SystemConfig::bench(1, SharingLevel::PlusDwt))
-        .request_log(cap)
-        .build()
-        .unwrap();
+    let mut cfg = SystemConfig::bench(1, SharingLevel::PlusDwt);
+    cfg.request_log = true;
+    cfg.request_log_cap = cap;
+    cfg.validate().unwrap();
     Simulation::execute_networks(&cfg, &[zoo::ncf(Scale::Bench)])
 }
 

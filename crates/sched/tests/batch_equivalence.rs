@@ -44,7 +44,7 @@ fn all_jobs_at_cycle_zero_is_byte_identical_to_batch_mode() {
 
 #[test]
 fn scenario_chip_equals_the_batch_preset() {
-    // The scenario goes through `mnpu-config`'s builder; the fixture was
+    // The scenario goes through `mnpu-config`'s parser; the fixture was
     // produced from the preset directly. Equality here localizes any
     // future divergence to the config layer rather than the engine.
     let spec = golden_scenario();

@@ -4,6 +4,9 @@
 //! mnpu_fuzz --iters 200 --seed 42 [--out target/fuzz-repros] [--verbose]
 //! ```
 //!
+//! Iterations run on `MNPU_JOBS` workers (default: available
+//! parallelism); the output is the same for any worker count.
+//!
 //! Exit status 0 on a clean run, 1 when any iteration produced a
 //! violation (after shrinking; repro artifacts are written to `--out`).
 

@@ -1,8 +1,8 @@
 //! Deterministic configuration/workload fuzzer.
 //!
 //! Each iteration derives a fresh RNG from `(master_seed, iteration)`,
-//! generates a random-but-valid [`SystemConfig`] (through
-//! [`SystemConfigBuilder`], so the generator itself is checked against the
+//! generates a random-but-valid [`SystemConfig`] (checked with
+//! [`SystemConfig::validate`], so the generator itself is held to the
 //! validator) and one tiny random network per core, runs a short
 //! simulation, applies the full [`crate::oracle`] suite, and samples one
 //! applicable [`Law`] for a paired metamorphic check. A quarter of the
@@ -20,9 +20,7 @@ use crate::metamorphic::Law;
 use crate::oracle::{check_run, Violation};
 use crate::serve::check_serve;
 use mnpu_config::{ArrivalSpec, JobSpec, PolicySpec, ScenarioSpec};
-use mnpu_engine::{
-    MemoryModel, ProbeMode, SharingLevel, Simulation, SystemConfig, SystemConfigBuilder,
-};
+use mnpu_engine::{FanOut, MemoryModel, ProbeMode, SharingLevel, Simulation, SystemConfig};
 use mnpu_model::randnet::{generate, RandNetConfig};
 use mnpu_model::{Network, Scale};
 use mnpu_sched::serve;
@@ -47,7 +45,8 @@ pub struct FuzzOptions {
     pub out_dir: Option<PathBuf>,
     /// Budget of extra simulations the shrinker may spend per failure.
     pub max_shrink_sims: usize,
-    /// Print per-iteration progress to stderr.
+    /// Print one line per iteration to stderr, in iteration order, once
+    /// every iteration has run.
     pub verbose: bool,
 }
 
@@ -187,44 +186,43 @@ pub fn generate_case(master_seed: u64, iteration: u64) -> FuzzCase {
     }
 
     // Optional report/observability features.
-    let mut b = SystemConfigBuilder::from_config(cfg);
     if rng.random_bool(0.8) {
-        b = b.probe(ProbeMode::Stats);
+        cfg.probe = ProbeMode::Stats;
     }
     if rng.random_bool(0.25) {
-        b = b.trace_window(512);
+        cfg.trace_window = Some(512);
     }
     if rng.random_bool(0.25) {
-        let cap = match rng.random_range(0u32..3) {
+        cfg.request_log = true;
+        cfg.request_log_cap = match rng.random_range(0u32..3) {
             0 => None,
             1 => Some(1),
             _ => Some(100),
         };
-        b = b.request_log(cap);
     }
     if rng.random_bool(0.2) {
-        b = b.start_cycles((0..cores).map(|_| rng.random_range(0u64..1000)).collect());
+        cfg.start_cycles = (0..cores).map(|_| rng.random_range(0u64..1000)).collect();
     }
 
     // Optional static partitions / managed bounds, gated on the sharing
-    // level so the builder accepts them.
+    // level so validation accepts them.
     if cores >= 2 && !sharing.shares_dram() && rng.random_bool(0.3) {
-        b = b.channel_partition(random_split(&mut rng, cores * channels_per_core, cores));
+        cfg.channel_partition = Some(random_split(&mut rng, cores * channels_per_core, cores));
     }
     if cores >= 2 && !sharing.shares_ptw() && rng.random_bool(0.3) {
-        let walkers = b.peek().mmu.ptws_per_core * cores;
-        b = b.ptw_partition(random_split(&mut rng, walkers, cores));
+        let walkers = cfg.mmu.ptws_per_core * cores;
+        cfg.ptw_partition = Some(random_split(&mut rng, walkers, cores));
     }
     if cores >= 2 && sharing.shares_ptw() && rng.random_bool(0.2) {
-        let total = b.peek().mmu.ptws_per_core * cores;
-        let min = vec![0usize; cores];
+        let total = cfg.mmu.ptws_per_core * cores;
         let max = vec![rng.random_range(1usize..=total); cores];
-        b = b.ptw_bounds(mnpu_mmu::PtwBounds { min, max });
+        cfg = cfg.with_ptw_bounds(vec![0; cores], max);
     }
 
-    let config = b.build().unwrap_or_else(|e| {
+    cfg.validate().unwrap_or_else(|e| {
         panic!("fuzzer generated an invalid config (seed {master_seed}, iter {iteration}): {e}")
     });
+    let config = cfg;
 
     // Tiny networks: a couple of layers keep each simulation in the
     // millisecond range so hundreds of iterations stay cheap.
@@ -600,43 +598,61 @@ pub fn repro_json(seed: u64, failure: &FuzzFailure, case: &FuzzCase) -> String {
     s
 }
 
+/// What one iteration found: its `--verbose` line and, when it failed,
+/// the shrunk failure with the minimized case its repro artifact records.
+struct Checked {
+    line: String,
+    failure: Option<(FuzzFailure, FuzzCase)>,
+}
+
+/// Generate and check one iteration's case, shrinking it on failure.
+fn check_iteration(opts: &FuzzOptions, iteration: u64) -> Checked {
+    let case = generate_case(opts.seed, iteration);
+    let violations = check_case(&case);
+    let line = format!(
+        "iter {iteration}: cores={} sharing={} law={} -> {}",
+        case.config.cores,
+        case.config.sharing,
+        case.law.map_or("none", |l| l.name()),
+        if violations.is_empty() {
+            "ok".to_string()
+        } else {
+            format!("{} VIOLATIONS", violations.len())
+        }
+    );
+    if violations.is_empty() {
+        return Checked { line, failure: None };
+    }
+    let oracle = violations[0].oracle;
+    let (min_case, steps) = shrink(&case, oracle, opts.max_shrink_sims);
+    let min_violations = check_case(&min_case);
+    let failure = FuzzFailure {
+        iteration,
+        violations: if min_violations.is_empty() { violations } else { min_violations },
+        shrink_steps: steps,
+        artifact: None,
+    };
+    Checked { line, failure: Some((failure, min_case)) }
+}
+
 /// Run the fuzzer.
 ///
 /// Deterministic per [`FuzzOptions::seed`]; failures are shrunk and, when
-/// [`FuzzOptions::out_dir`] is set, written as JSON repro artifacts.
+/// [`FuzzOptions::out_dir`] is set, written as JSON repro artifacts. The
+/// iterations run on [`FanOut::new`]'s workers (`MNPU_JOBS`); progress
+/// lines, artifacts and failures follow iteration order, so the outcome
+/// does not depend on the worker count.
 pub fn run_fuzz(opts: &FuzzOptions) -> FuzzOutcome {
-    let mut outcome = FuzzOutcome::default();
-    for iteration in 0..opts.iters {
-        let case = generate_case(opts.seed, iteration);
-        let violations = check_case(&case);
-        outcome.iterations += 1;
+    let iterations: Vec<u64> = (0..opts.iters).collect();
+    let checked = FanOut::new().map(&iterations, |&i| check_iteration(opts, i));
+    let mut outcome = FuzzOutcome { iterations: opts.iters, failures: Vec::new() };
+    for Checked { line, failure } in checked {
         if opts.verbose {
-            eprintln!(
-                "iter {iteration}: cores={} sharing={} law={} -> {}",
-                case.config.cores,
-                case.config.sharing,
-                case.law.map_or("none", |l| l.name()),
-                if violations.is_empty() {
-                    "ok".to_string()
-                } else {
-                    format!("{} VIOLATIONS", violations.len())
-                }
-            );
+            eprintln!("{line}");
         }
-        if violations.is_empty() {
-            continue;
-        }
-        let oracle = violations[0].oracle;
-        let (min_case, steps) = shrink(&case, oracle, opts.max_shrink_sims);
-        let min_violations = check_case(&min_case);
-        let mut failure = FuzzFailure {
-            iteration,
-            violations: if min_violations.is_empty() { violations } else { min_violations },
-            shrink_steps: steps,
-            artifact: None,
-        };
+        let Some((mut failure, min_case)) = failure else { continue };
         if let Some(dir) = &opts.out_dir {
-            let path = dir.join(format!("repro-iter{iteration}.json"));
+            let path = dir.join(format!("repro-iter{}.json", failure.iteration));
             let body = repro_json(opts.seed, &failure, &min_case);
             if std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body)).is_ok() {
                 failure.artifact = Some(path);

@@ -4,15 +4,14 @@
 //! teeth — an oracle suite that accepts everything would also pass the
 //! stock-preset tests.
 
-use mnpu_engine::{ProbeMode, SharingLevel, Simulation, SystemConfig, SystemConfigBuilder};
+use mnpu_engine::{ProbeMode, SharingLevel, Simulation, SystemConfig};
 use mnpu_model::{zoo, Network, Scale};
 use mnpu_validate::check_run;
 
 fn setup() -> (SystemConfig, Vec<Network>, mnpu_engine::RunReport) {
-    let cfg = SystemConfigBuilder::from_config(SystemConfig::bench(2, SharingLevel::PlusDwt))
-        .probe(ProbeMode::Stats)
-        .build()
-        .unwrap();
+    let mut cfg = SystemConfig::bench(2, SharingLevel::PlusDwt);
+    cfg.probe = ProbeMode::Stats;
+    cfg.validate().unwrap();
     let nets = vec![zoo::ncf(Scale::Bench), zoo::dlrm(Scale::Bench)];
     let report = Simulation::execute_networks(&cfg, &nets);
     (cfg, nets, report)

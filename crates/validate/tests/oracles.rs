@@ -3,9 +3,7 @@
 //! violation on a stock configuration means the engine (or an oracle) is
 //! wrong, not the workload.
 
-use mnpu_engine::{
-    MemoryModel, ProbeMode, SharingLevel, Simulation, SystemConfig, SystemConfigBuilder,
-};
+use mnpu_engine::{MemoryModel, ProbeMode, SharingLevel, Simulation, SystemConfig};
 use mnpu_model::{zoo, Network, Scale};
 use mnpu_validate::check_run;
 
@@ -73,11 +71,10 @@ fn ideal_memory_is_clean() {
 
 #[test]
 fn probe_stats_cross_checks_are_clean() {
-    let cfg = SystemConfigBuilder::from_config(SystemConfig::bench(2, SharingLevel::PlusDwt))
-        .probe(ProbeMode::Stats)
-        .trace_window(1024)
-        .build()
-        .unwrap();
+    let mut cfg = SystemConfig::bench(2, SharingLevel::PlusDwt);
+    cfg.probe = ProbeMode::Stats;
+    cfg.trace_window = Some(1024);
+    cfg.validate().unwrap();
     assert_clean(&cfg, &bench_nets(2));
 }
 

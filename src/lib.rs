@@ -73,7 +73,7 @@ pub use run::{RequestError, RunOutcome, RunRequest, Runner};
 pub use mnpu_dram::{Dram, DramConfig};
 pub use mnpu_engine::{
     ConfigError, Emit, Format, ProbeMode, RunReport, SharingLevel, SimSnapshot, Simulation,
-    SnapError, StatsReport, SystemConfig, SystemConfigBuilder,
+    SnapError, StatsReport, SystemConfig,
 };
 pub use mnpu_metrics::{fairness, geomean, BoxStats, Cdf, Speedup};
 pub use mnpu_mmu::{Mmu, MmuConfig};

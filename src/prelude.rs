@@ -19,7 +19,7 @@ pub use crate::run::{RequestError, RunOutcome, RunRequest, Runner};
 pub use mnpu_config::{ArrivalSpec, JobSpec, PolicySpec, ScenarioSpec};
 pub use mnpu_engine::{
     ConfigError, Emit, Format, ProbeMode, RunReport, SharingLevel, SimSnapshot, Simulation,
-    SnapError, SystemConfig, SystemConfigBuilder,
+    SnapError, SystemConfig,
 };
 pub use mnpu_model::{Network, Scale};
 pub use mnpu_sched::{JobRecord, ServeReport};
