@@ -15,7 +15,9 @@
 //! walks, different TLB reach). A fifth runs the original chip under
 //! [`ProbeMode::Stats`], pinning the report's `stats` section: the
 //! counters, histograms, stall breakdown and epoch series the probe
-//! aggregates from engine and DRAM events alike.
+//! aggregates from engine and DRAM events alike. A sixth swaps the DRAM
+//! model for the fixed-latency ideal memory, pinning that backend's
+//! completion order and its one pseudo-channel's statistics.
 //!
 //! Regenerate intentionally (after a *semantic* model change, never for
 //! an optimization) with:
@@ -100,4 +102,10 @@ fn quad_mixed_stats_matches_golden_fixture() {
     let mut cfg = golden_config();
     cfg.probe = ProbeMode::Stats;
     check_fixture("quad_golden_stats.json", &golden_report(&cfg));
+}
+
+#[test]
+fn quad_ideal_memory_matches_golden_fixture() {
+    let cfg = golden_config().with_ideal_memory(60);
+    check_fixture("quad_golden_ideal.json", &golden_report(&cfg));
 }
