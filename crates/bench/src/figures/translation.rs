@@ -3,7 +3,6 @@
 use crate::harness::Harness;
 use mnpu_engine::SharingLevel;
 use mnpu_metrics::{fairness, geomean};
-use mnpu_model::zoo;
 use mnpu_predict::mapping::multisets;
 
 /// The static walker splits of Figs. 13/14 over the dual-core chip's
@@ -147,26 +146,6 @@ pub fn fig16_page_size_multi(h: &mut Harness) -> PageSizeMulti {
         ));
     }
     PageSizeMulti { rows, dual_mixes: counts.0, quad_mixes: counts.1 }
-}
-
-/// Convenience: the single-core page-size sweep for one named workload
-/// (used by the `page_size_study` example).
-///
-/// # Panics
-///
-/// Panics if `name` is not one of the eight benchmarks.
-pub fn page_cycles_for(h: &mut Harness, name: &str) -> Vec<(u64, u64)> {
-    let idx = zoo::MODEL_NAMES
-        .iter()
-        .position(|&n| n == name)
-        .unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    PAGE_SIZES
-        .iter()
-        .map(|&p| {
-            let cfg = Harness::dual(SharingLevel::PlusDwt).ideal_solo().with_page_size(p);
-            (p, h.run_mix(&cfg, &[idx])[0])
-        })
-        .collect()
 }
 
 #[cfg(test)]

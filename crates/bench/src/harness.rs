@@ -215,7 +215,6 @@ impl Harness {
     pub fn run_mix(&self, cfg: &SystemConfig, workloads: &[usize]) -> Vec<u64> {
         assert_eq!(workloads.len(), cfg.cores, "one workload per core");
         if let Some(cycles) = self.cached(cfg, workloads) {
-            mnpu_trace::counters::add_run_cache_hit();
             return cycles;
         }
         let report = self.run_report(cfg, workloads);

@@ -4,15 +4,29 @@ use crate::error::ConfigError;
 use std::collections::HashMap;
 
 /// A parsed `key = value` file: keys are lower-cased; `#` starts a comment.
+/// Each key appears at most once, except the one repeatable key a parser
+/// may name, whose lines are kept in file order.
 #[derive(Debug)]
 pub(crate) struct KvFile {
     file: String,
     entries: HashMap<String, (usize, String)>,
+    repeated: Vec<(usize, String)>,
 }
 
 impl KvFile {
     pub(crate) fn parse(file: &str, text: &str) -> Result<Self, ConfigError> {
+        KvFile::parse_repeating(file, text, None)
+    }
+
+    /// [`KvFile::parse`], except that the key `repeatable` may appear on
+    /// any number of lines; [`KvFile::repeated`] lists them.
+    pub(crate) fn parse_repeating(
+        file: &str,
+        text: &str,
+        repeatable: Option<&str>,
+    ) -> Result<Self, ConfigError> {
         let mut entries = HashMap::new();
+        let mut repeated = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -26,11 +40,26 @@ impl KvFile {
                 ));
             };
             let key = k.trim().to_ascii_lowercase();
-            if entries.insert(key.clone(), (i + 1, v.trim().to_string())).is_some() {
-                return Err(ConfigError::parse(file, i + 1, format!("duplicate key `{key}`")));
+            let value = v.trim().to_string();
+            if repeatable == Some(key.as_str()) {
+                repeated.push((i + 1, value));
+                continue;
             }
+            if let Some((first, _)) = entries.get(&key) {
+                return Err(ConfigError::parse(
+                    file,
+                    i + 1,
+                    format!("duplicate key `{key}` (first at line {first})"),
+                ));
+            }
+            entries.insert(key, (i + 1, value));
         }
-        Ok(KvFile { file: file.to_string(), entries })
+        Ok(KvFile { file: file.to_string(), entries, repeated })
+    }
+
+    /// `(line, value)` of every line with the repeatable key, in file order.
+    pub(crate) fn repeated(&self) -> &[(usize, String)] {
+        &self.repeated
     }
 
     pub(crate) fn get(&self, key: &str) -> Option<&str> {
@@ -155,6 +184,15 @@ mod tests {
     fn duplicate_key_rejected() {
         let e = KvFile::parse("t", "a = 1\na = 2").unwrap_err();
         assert!(e.to_string().contains("duplicate"));
+    }
+
+    #[test]
+    fn repeatable_key_keeps_every_line_in_order() {
+        let kv = KvFile::parse_repeating("t", "job = a\nn = 1\njob = b", Some("job")).unwrap();
+        assert_eq!(kv.repeated(), [(1, "a".to_string()), (3, "b".to_string())]);
+        assert_eq!(kv.get("job"), None);
+        let e = KvFile::parse_repeating("t", "n = 1\njob = a\nn = 2", Some("job")).unwrap_err();
+        assert!(e.to_string().contains("duplicate key `n` (first at line 1)"), "{e}");
     }
 
     #[test]

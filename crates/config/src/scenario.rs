@@ -29,6 +29,7 @@
 //! `mnpu-sched` consumes the resulting [`ScenarioSpec`].
 
 use crate::error::ConfigError;
+use crate::kv::KvFile;
 use mnpu_engine::{SharingLevel, SystemConfig};
 use mnpu_model::{zoo, Scale};
 
@@ -108,88 +109,62 @@ pub struct ScenarioSpec {
 /// [`ConfigError::Inconsistent`] for a chip that fails
 /// [`SystemConfig::validate`] or a scenario with no jobs.
 pub fn parse_scenario(file: &str, text: &str) -> Result<ScenarioSpec, ConfigError> {
-    // `job` lines repeat, so this needs a hand scan rather than `KvFile`
-    // (which rejects duplicate keys).
-    let mut jobs = Vec::new();
-    let mut single: Vec<(String, usize, String)> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Some((k, v)) = line.split_once('=') else {
-            return Err(ConfigError::parse(
-                file,
-                i + 1,
-                format!("expected `key = value`, got `{line}`"),
-            ));
-        };
-        let key = k.trim().to_ascii_lowercase();
-        let value = v.trim().to_string();
-        if key == "job" {
-            jobs.push(parse_job(file, i + 1, &value)?);
-        } else if let Some((_, prev_line, _)) = single.iter().find(|(k, ..)| *k == key) {
-            return Err(ConfigError::parse(
-                file,
-                i + 1,
-                format!("duplicate key `{key}` (first at line {prev_line})"),
-            ));
-        } else {
-            single.push((key, i + 1, value));
-        }
-    }
-    let lookup =
-        |key: &str| single.iter().find(|(k, ..)| k == key).map(|(_, l, v)| (*l, v.as_str()));
+    let kv = KvFile::parse_repeating(file, text, Some("job"))?;
+    let jobs = kv
+        .repeated()
+        .iter()
+        .map(|(line, value)| parse_job(file, *line, value))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let cores = match lookup("cores") {
-        None => return Err(ConfigError::parse(file, 0, "missing required key `cores`")),
-        Some((line, v)) => v.parse::<usize>().map_err(|_| {
-            ConfigError::parse(file, line, format!("`cores` must be an integer, got `{v}`"))
-        })?,
-    };
-    let sharing = match lookup("sharing") {
+    let cores = kv.u64_req("cores")? as usize;
+    let sharing = match kv.get("sharing") {
         None => SharingLevel::PlusDwt,
-        Some((line, v)) => SharingLevel::from_label(v).ok_or_else(|| {
-            ConfigError::parse(file, line, format!("unknown sharing level `{v}`"))
+        Some(v) => SharingLevel::from_label(v).ok_or_else(|| {
+            ConfigError::parse(file, kv.line_of("sharing"), format!("unknown sharing level `{v}`"))
         })?,
     };
-    let system = match lookup("preset") {
-        None => SystemConfig::bench(cores, sharing),
-        Some((_, "bench")) => SystemConfig::bench(cores, sharing),
-        Some((_, "cloud")) => SystemConfig::cloud(cores, sharing),
-        Some((line, v)) => {
-            return Err(ConfigError::parse(file, line, format!("unknown preset `{v}`")))
+    let system = match kv.get("preset") {
+        None | Some("bench") => SystemConfig::bench(cores, sharing),
+        Some("cloud") => SystemConfig::cloud(cores, sharing),
+        Some(v) => {
+            return Err(ConfigError::parse(
+                file,
+                kv.line_of("preset"),
+                format!("unknown preset `{v}`"),
+            ))
         }
     };
     // The same validation as every other configuration front end.
     system.validate().map_err(|e| ConfigError::Inconsistent(format!("{file}: {e}")))?;
 
-    let scale = match lookup("scale") {
-        None | Some((_, "bench")) => Scale::Bench,
-        Some((_, "full")) => Scale::Full,
-        Some((line, v)) => {
-            return Err(ConfigError::parse(file, line, format!("unknown scale `{v}`")))
+    let scale = match kv.get("scale") {
+        None | Some("bench") => Scale::Bench,
+        Some("full") => Scale::Full,
+        Some(v) => {
+            return Err(ConfigError::parse(
+                file,
+                kv.line_of("scale"),
+                format!("unknown scale `{v}`"),
+            ))
         }
     };
-    let seed = match lookup("seed") {
-        None => 0,
-        Some((line, v)) => v.parse::<u64>().map_err(|_| {
-            ConfigError::parse(file, line, format!("`seed` must be an integer, got `{v}`"))
-        })?,
-    };
-    let arrival = match lookup("pattern") {
+    let seed = kv.u64_or("seed", 0)?;
+    let arrival = match kv.get("pattern") {
         None => ArrivalSpec::Explicit,
-        Some((line, spec)) => parse_pattern(file, line, spec)?,
+        Some(spec) => parse_pattern(file, kv.line_of("pattern"), spec)?,
     };
-    let policy = match lookup("policy").map(|(l, v)| (l, v.to_ascii_lowercase())) {
+    let policy = match kv.get("policy").map(str::to_ascii_lowercase) {
         None => PolicySpec::FirstFree,
-        Some((_, ref v)) if v == "first_free" => PolicySpec::FirstFree,
-        Some((_, ref v)) if v == "round_robin" => PolicySpec::RoundRobin,
-        Some((_, ref v)) if v == "predictor" => PolicySpec::Predictor,
-        Some((_, ref v)) if v == "pinned" => PolicySpec::Pinned,
-        Some((line, v)) => {
-            return Err(ConfigError::UnknownPolicy { file: file.into(), line, name: v.clone() })
-        }
+        Some(v) => match v.as_str() {
+            "first_free" => PolicySpec::FirstFree,
+            "round_robin" => PolicySpec::RoundRobin,
+            "predictor" => PolicySpec::Predictor,
+            "pinned" => PolicySpec::Pinned,
+            _ => {
+                let line = kv.line_of("policy");
+                return Err(ConfigError::UnknownPolicy { file: file.into(), line, name: v });
+            }
+        },
     };
 
     if jobs.is_empty() {

@@ -67,10 +67,8 @@ pub struct Dram {
     /// The full channel index set — the default subset for unpartitioned
     /// cores, precomputed so address decode never allocates.
     all_channels: Vec<usize>,
-    /// In-flight data bursts keyed `(completed_at, slot)`. A heap (not a
-    /// per-channel [`crate::MonotonicQueue`]) on purpose: `advance` peeks
-    /// this on *every* tick, and a heap peek is one load where the lane
-    /// scan is O(channels) — measured slower at this call frequency.
+    /// In-flight data bursts keyed `(completed_at, slot)`: a min-heap, so
+    /// the check for due bursts on every `advance` is one peek.
     in_flight: BinaryHeap<Reverse<(u64, u64)>>,
     in_flight_data: Vec<Option<Completion>>,
     free_slots: Vec<usize>,
@@ -242,12 +240,6 @@ impl Dram {
             );
         }
         Ok(())
-    }
-
-    /// `true` when a transaction from `core` to `addr` can be accepted now.
-    pub fn can_accept(&self, core: usize, addr: u64) -> bool {
-        let decoded = decode(addr, &self.config, self.subset_of(core));
-        self.channels[decoded.channel].has_room()
     }
 
     /// Advance the device clock to `now` (monotone non-decreasing), commit
@@ -591,10 +583,6 @@ mod tests {
         d.try_enqueue(0, 0, 64, false, 1).unwrap();
         let err = d.try_enqueue(0, 0, 128, false, 2).unwrap_err();
         assert_eq!(err, EnqueueError::QueueFull { channel: 0 });
-        assert!(!d.can_accept(0, 128));
-        // After draining, the queue accepts again.
-        let _ = run_until_idle(&mut d, 0);
-        assert!(d.can_accept(0, 128));
     }
 
     #[test]

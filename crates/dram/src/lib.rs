@@ -15,6 +15,10 @@
 //! completed; [`Dram::next_event`] tells the caller when something next
 //! changes, so an idle memory system costs nothing to simulate.
 //!
+//! The engine drives a [`Dram`] directly, through the probed entry points
+//! [`Dram::try_enqueue_probed`] and [`Dram::advance_into_probed`]; the
+//! latter appends completions straight into the caller's buffer.
+//!
 //! Channel-granular bandwidth partitioning — the mechanism behind the
 //! paper's `Static` configurations and the 1:7 … 7:1 partitioning sweeps of
 //! Figs. 9/10 — is expressed by giving each requester (NPU core) a subset of
@@ -46,7 +50,6 @@ mod channel;
 mod config;
 mod dram;
 pub mod energy;
-mod eventq;
 mod stats;
 
 pub use address::{decode, DecodedAddr, TRANSACTION_BYTES};
@@ -54,5 +57,4 @@ pub use channel::Channel;
 pub use config::{AddressMapping, DramConfig, DramTiming, SchedPolicy};
 pub use dram::{Completion, Dram, EnqueueError};
 pub use energy::{estimate_energy, DramEnergy, EnergyBreakdown};
-pub use eventq::MonotonicQueue;
 pub use stats::{BandwidthTrace, ChannelStats, DramStats};

@@ -7,6 +7,7 @@ use crate::sim::{Simulation, META_WALK};
 use mnpu_dram::{EnqueueError, TRANSACTION_BYTES};
 use mnpu_mmu::WalkStart;
 use mnpu_probe::{Event, Probe};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A transaction rejected by a full DRAM queue, waiting to be retried:
@@ -74,7 +75,7 @@ impl<P: Probe> Simulation<P> {
         if let Some(noc) = &mut self.noc {
             let arrival = noc.request_delivery(self.now, core, TRANSACTION_BYTES);
             if arrival > self.now {
-                self.noc_requests.push(core, (arrival, core, paddr, is_write, meta));
+                self.noc_requests.push(Reverse((arrival, core, paddr, is_write, meta)));
                 return;
             }
         }

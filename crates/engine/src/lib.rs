@@ -18,6 +18,11 @@
 //! * per-core clock domains (core-local compute cycles are converted to the
 //!   global DRAM clock).
 //!
+//! [`SystemConfig::memory`] picks the memory backend: the banked
+//! [`mnpu_dram::Dram`] model, driven directly ([`MemoryModel::Timing`], the
+//! default), or a fixed-latency, infinite-bandwidth ideal memory
+//! ([`MemoryModel::Ideal`]).
+//!
 //! The loop is event-driven: between events the clock jumps, so compute-bound
 //! phases and idle memory cost nothing.
 //!
@@ -60,7 +65,7 @@ mod system;
 pub use emit::{Emit, Format};
 pub use fanout::FanOut;
 pub use memmap::PageTable;
-pub use memory::{DramMemory, IdealMemory, MemoryModel, MemorySystem};
+pub use memory::MemoryModel;
 pub use report::{ChipEnergy, CoreReport, EnergyModel, LogEvent, LogKind, RunReport};
 pub use sharing::SharingLevel;
 pub use sim::{Advance, Simulation};

@@ -103,11 +103,6 @@ impl PageTable {
         self.page_bytes
     }
 
-    /// Total frames available to this core.
-    pub fn capacity_frames(&self) -> u64 {
-        self.frames
-    }
-
     /// Serialize the mutable mapping state (allocation cursor plus the
     /// virtual→frame map, in sorted VPN order so equal tables produce equal
     /// bytes). The geometry (base, page size, capacity) is excluded:

@@ -1,20 +1,19 @@
-//! The pluggable memory-system boundary.
+//! The memory system behind the cores' DMA engines and page-table walkers.
 //!
-//! The simulation loop talks to DRAM only through [`MemorySystem`], so the
-//! timing model behind the chip's memory controller can be swapped without
-//! touching the pipeline, translation, or arbitration logic. Two backends
-//! ship with the engine:
+//! [`SystemConfig::memory`] picks one of two backends, and the simulation
+//! holds it as the crate-private `Memory` enum:
 //!
-//! * [`DramMemory`] — the full FR-FCFS banked-DRAM model from [`mnpu_dram`]
-//!   (the paper's configuration), including channel partitioning for
+//! * `Timing` — the full FR-FCFS banked-DRAM model from [`mnpu_dram`] (the
+//!   paper's configuration), including channel partitioning for
 //!   non-DRAM-sharing levels and windowed bandwidth tracing;
-//! * [`IdealMemory`] — a fixed-latency, infinite-bandwidth memory, useful
-//!   as a contention-free upper bound and for isolating compute effects.
+//! * `Ideal` — a fixed-latency, infinite-bandwidth memory, useful as a
+//!   contention-free upper bound and for isolating compute effects.
 
 use crate::sharing::partition_channels;
+use crate::snapshot::sorted_heap;
 use crate::system::SystemConfig;
 use mnpu_dram::{BandwidthTrace, Completion, Dram, DramStats, EnqueueError, TRANSACTION_BYTES};
-use mnpu_probe::{NullProbe, Probe};
+use mnpu_probe::Probe;
 use mnpu_snapshot::{Reader, SnapError, Writer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,7 +25,7 @@ const MEMORY_TAG: u8 = 0xB0;
 /// `(done_at, seq, core, addr, is_write, meta)`.
 type InFlightTxn = (u64, u64, usize, u64, bool, u64);
 
-/// Which [`MemorySystem`] backend a [`SystemConfig`] builds.
+/// Which memory backend a [`SystemConfig`] builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryModel {
     /// The full banked-DRAM timing model (default; the paper's setup).
@@ -41,141 +40,36 @@ pub enum MemoryModel {
     },
 }
 
-/// The memory system behind the cores' DMA engines and page-table walkers.
+/// The backend selected by [`SystemConfig::memory`], driven by the event
+/// loop in three steps:
 ///
-/// The contract mirrors how the event loop drives memory:
+/// 1. [`enqueue`](Memory::enqueue) submits one 64-byte transaction; the
+///    DRAM model may refuse it with [`EnqueueError::QueueFull`], and the
+///    caller retries after the next event;
+/// 2. [`advance_into`](Memory::advance_into) moves the device to cycle
+///    `now` and appends every serviced transaction, in service order, to
+///    the caller's buffer;
+/// 3. [`next_event`](Memory::next_event) names the next cycle at which
+///    the device state can change, `None` only when it is idle.
 ///
-/// 1. [`enqueue`](MemorySystem::enqueue) submits one 64-byte transaction;
-///    it may be refused with [`EnqueueError::QueueFull`], in which case the
-///    caller must retry after the next event.
-/// 2. [`tick`](MemorySystem::tick) advances the device to cycle `now`,
-///    moving any serviced transactions into an internal completion buffer.
-/// 3. [`drain_completions`](MemorySystem::drain_completions) takes that
-///    buffer. Completion order must be deterministic for a given request
-///    sequence — simulations are replayed across threads and compared.
-/// 4. [`next_event_cycle`](MemorySystem::next_event_cycle) names the next
-///    cycle at which the device state can change, letting the event loop
-///    skip idle gaps. It must be strictly in the future once `tick` has
-///    run, and `None` only when the device is completely idle.
-///
-/// The `P` parameter is the observability probe the backend feeds with
-/// device events (DRAM row outcomes, refreshes, queue depths). A backend
-/// owns no probe: [`enqueue`](MemorySystem::enqueue) and
-/// [`tick`](MemorySystem::tick) borrow the simulation's on every call, as
-/// [`Dram`]'s probed entry points do, so a run has exactly one probe. With
-/// the default [`NullProbe`] every emission site compiles away; the trait
-/// stays object-safe for any concrete `P`, so the engine holds a
-/// `Box<dyn MemorySystem<P>>`.
-pub trait MemorySystem<P: Probe = NullProbe>: std::fmt::Debug + Send {
-    /// Submit a transaction at device cycle `now`, reporting device events
-    /// into `probe`. `meta` is an opaque tag handed back in the matching
-    /// [`Completion`].
-    ///
-    /// # Errors
-    ///
-    /// [`EnqueueError::QueueFull`] when the target queue has no free slot.
-    fn enqueue(
-        &mut self,
-        now: u64,
-        core: usize,
-        addr: u64,
-        is_write: bool,
-        meta: u64,
-        probe: &mut P,
-    ) -> Result<(), EnqueueError>;
-
-    /// Advance device time to `now`, retiring due transactions into the
-    /// completion buffer and reporting device events into `probe`.
-    fn tick(&mut self, now: u64, probe: &mut P);
-
-    /// Move all buffered completions into `out` (appending, in service
-    /// order), leaving the internal buffer empty but with its capacity
-    /// intact — the event loop passes one reused buffer so the steady
-    /// state allocates nothing.
-    fn drain_completions_into(&mut self, out: &mut Vec<Completion>);
-
-    /// Take all buffered completions, in service order. Convenience form
-    /// of [`drain_completions_into`](MemorySystem::drain_completions_into)
-    /// for callers outside the hot loop.
-    fn drain_completions(&mut self) -> Vec<Completion> {
-        let mut out = Vec::new();
-        self.drain_completions_into(&mut out);
-        out
-    }
-
-    /// The next cycle at which the device needs attention, if any.
-    fn next_event_cycle(&self) -> Option<u64>;
-
-    /// Snapshot of device statistics.
-    fn stats(&self) -> DramStats;
-
-    /// Transactions enqueued or in flight (deadlock diagnostics).
-    fn pending(&self) -> usize;
-
-    /// The windowed bandwidth trace, when tracing is enabled.
-    fn bandwidth_trace(&self) -> Option<BandwidthTrace>;
-
-    /// Commands retired through the steady-state fast-forward path so far
-    /// (telemetry only — reported into the process-global counters when
-    /// the run's report is assembled). Backends without a fast path
-    /// return 0.
-    fn fastfwd_commits(&self) -> u64 {
-        0
-    }
-
-    /// Serialize every piece of mutable device state into `w`, so a
-    /// restored simulation's memory system is bit-identical to the
-    /// snapshotted one.
-    fn save_state(&self, w: &mut Writer);
-
-    /// Restore state saved by [`save_state`](MemorySystem::save_state)
-    /// into a device built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] when the payload is malformed or shaped for a
-    /// different device configuration.
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError>;
-}
-
-fn save_completions(w: &mut Writer, ready: &[Completion]) {
-    w.seq(ready, |w, c| {
-        w.u64(c.meta);
-        w.usize(c.core);
-        w.u64(c.addr);
-        w.bool(c.is_write);
-        w.u64(c.completed_at);
-    });
-}
-
-fn load_completions(r: &mut Reader<'_>) -> Result<Vec<Completion>, SnapError> {
-    r.seq(|r| {
-        Ok(Completion {
-            meta: r.u64()?,
-            core: r.usize()?,
-            addr: r.u64()?,
-            is_write: r.bool()?,
-            completed_at: r.u64()?,
-        })
-    })
-}
-
-/// The banked FR-FCFS DRAM timing model, adapted to [`MemorySystem`].
+/// `enqueue` and `advance_into` borrow the simulation's one probe, so a run
+/// has exactly one; with [`mnpu_probe::NullProbe`] every emission site
+/// compiles away.
 #[derive(Debug)]
-pub struct DramMemory {
-    dram: Dram,
-    ready: Vec<Completion>,
+pub(crate) enum Memory {
+    /// Boxed: a `Dram` is more than twice the size of an `IdealMemory`.
+    Timing(Box<Dram>),
+    Ideal(IdealMemory),
 }
 
-impl DramMemory {
-    /// Wrap an already-configured [`Dram`] device.
-    pub fn new(dram: Dram) -> Self {
-        DramMemory { dram, ready: Vec::new() }
-    }
-
-    /// Build the device for `cfg`: total channel count, bandwidth tracing,
-    /// and — for non-DRAM-sharing levels — the static channel partition.
-    pub fn from_config(cfg: &SystemConfig) -> Self {
+impl Memory {
+    /// Build the backend for `cfg`: for the DRAM model, the total channel
+    /// count, bandwidth tracing and — for non-DRAM-sharing levels — the
+    /// static channel partition.
+    pub(crate) fn new(cfg: &SystemConfig) -> Self {
+        if let MemoryModel::Ideal { latency } = cfg.memory {
+            return Memory::Ideal(IdealMemory::new(cfg.cores, latency, cfg.trace_window));
+        }
         let mut dram_cfg = cfg.dram.clone();
         dram_cfg.channels = cfg.total_channels();
         let mut dram = Dram::new(dram_cfg);
@@ -193,12 +87,12 @@ impl DramMemory {
                 dram.set_core_channels(core, subset);
             }
         }
-        DramMemory::new(dram)
+        Memory::Timing(Box::new(dram))
     }
-}
 
-impl<P: Probe> MemorySystem<P> for DramMemory {
-    fn enqueue(
+    /// Submit a transaction at device cycle `now`. `meta` is an opaque tag
+    /// handed back in the matching [`Completion`].
+    pub(crate) fn enqueue<P: Probe>(
         &mut self,
         now: u64,
         core: usize,
@@ -207,67 +101,103 @@ impl<P: Probe> MemorySystem<P> for DramMemory {
         meta: u64,
         probe: &mut P,
     ) -> Result<(), EnqueueError> {
-        self.dram.try_enqueue_probed(now, core, addr, is_write, meta, probe)
-    }
-
-    fn tick(&mut self, now: u64, probe: &mut P) {
-        self.dram.advance_into_probed(now, &mut self.ready, probe);
-    }
-
-    fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
-        // The caller's buffer is normally empty here, so a whole batch —
-        // e.g. a fast-forwarded run of row hits — changes hands as one
-        // pointer swap instead of a copy.
-        if out.is_empty() {
-            std::mem::swap(out, &mut self.ready);
-        } else {
-            out.append(&mut self.ready);
+        match self {
+            Memory::Timing(dram) => dram.try_enqueue_probed(now, core, addr, is_write, meta, probe),
+            Memory::Ideal(mem) => {
+                mem.enqueue(now, core, addr, is_write, meta);
+                Ok(())
+            }
         }
     }
 
-    fn next_event_cycle(&self) -> Option<u64> {
-        self.dram.next_event()
+    /// Advance device time to `now`, appending the transactions serviced
+    /// by then to `out` in service order.
+    pub(crate) fn advance_into<P: Probe>(
+        &mut self,
+        now: u64,
+        out: &mut Vec<Completion>,
+        probe: &mut P,
+    ) {
+        match self {
+            Memory::Timing(dram) => dram.advance_into_probed(now, out, probe),
+            Memory::Ideal(mem) => mem.advance_into(now, out),
+        }
     }
 
-    fn stats(&self) -> DramStats {
-        self.dram.stats()
+    /// The next cycle at which the device needs attention, if any.
+    pub(crate) fn next_event(&self) -> Option<u64> {
+        match self {
+            Memory::Timing(dram) => dram.next_event(),
+            Memory::Ideal(mem) => mem.in_flight.peek().map(|&Reverse((done_at, ..))| done_at),
+        }
     }
 
-    fn pending(&self) -> usize {
-        self.dram.pending()
+    /// Device statistics.
+    pub(crate) fn stats(&self) -> DramStats {
+        match self {
+            Memory::Timing(dram) => dram.stats(),
+            Memory::Ideal(mem) => {
+                let mut s = mem.stats.clone();
+                s.total = s.per_channel[0].clone();
+                s
+            }
+        }
     }
 
-    fn bandwidth_trace(&self) -> Option<BandwidthTrace> {
-        self.dram.trace().cloned()
+    /// Transactions enqueued or in flight (deadlock diagnostics).
+    pub(crate) fn pending(&self) -> usize {
+        match self {
+            Memory::Timing(dram) => dram.pending(),
+            Memory::Ideal(mem) => mem.in_flight.len(),
+        }
     }
 
-    fn fastfwd_commits(&self) -> u64 {
-        self.dram.fastfwd_commits()
+    /// The windowed bandwidth trace, when tracing is enabled.
+    pub(crate) fn bandwidth_trace(&self) -> Option<BandwidthTrace> {
+        match self {
+            Memory::Timing(dram) => dram.trace().cloned(),
+            Memory::Ideal(mem) => mem.trace.clone(),
+        }
     }
 
-    fn save_state(&self, w: &mut Writer) {
+    /// Commands the DRAM model retired through its steady-state
+    /// fast-forward path (telemetry only; 0 for the ideal memory).
+    pub(crate) fn fastfwd_commits(&self) -> u64 {
+        match self {
+            Memory::Timing(dram) => dram.fastfwd_commits(),
+            Memory::Ideal(_) => 0,
+        }
+    }
+
+    /// Serialize every piece of mutable device state into `w`.
+    pub(crate) fn save_state(&self, w: &mut Writer) {
         w.tag(MEMORY_TAG);
-        self.dram.save_state(w);
-        save_completions(w, &self.ready);
+        match self {
+            Memory::Timing(dram) => dram.save_state(w),
+            Memory::Ideal(mem) => mem.save_state(w),
+        }
     }
 
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
+    /// Restore state saved by [`save_state`](Memory::save_state) into a
+    /// device built from the same configuration.
+    pub(crate) fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         r.tag(MEMORY_TAG)?;
-        self.dram.load_state(r)?;
-        self.ready = load_completions(r)?;
-        Ok(())
+        match self {
+            Memory::Timing(dram) => dram.load_state(r),
+            Memory::Ideal(mem) => mem.load_state(r),
+        }
     }
 }
 
 /// Fixed-latency, infinite-bandwidth memory: the service time of every
 /// transaction is a constant and requests never queue against each other.
+/// It has no row buffers or queues, so it reports no device events.
 #[derive(Debug)]
-pub struct IdealMemory {
+pub(crate) struct IdealMemory {
     latency: u64,
     /// In-flight transactions ordered by `(done_at, seq)`; the sequence
     /// number keeps completion order deterministic within a cycle.
     in_flight: BinaryHeap<Reverse<InFlightTxn>>,
-    ready: Vec<Completion>,
     seq: u64,
     stats: DramStats,
     trace: Option<BandwidthTrace>,
@@ -277,7 +207,7 @@ impl IdealMemory {
     /// A device serving `cores` requesters with a fixed `latency` (DRAM
     /// cycles, clamped to at least 1). `trace_window` enables the windowed
     /// bandwidth trace.
-    pub fn new(cores: usize, latency: u64, trace_window: Option<u64>) -> Self {
+    pub(crate) fn new(cores: usize, latency: u64, trace_window: Option<u64>) -> Self {
         let stats = DramStats {
             // One pseudo-channel so per-channel consumers see the totals.
             per_channel: vec![Default::default()],
@@ -287,26 +217,13 @@ impl IdealMemory {
         IdealMemory {
             latency: latency.max(1),
             in_flight: BinaryHeap::new(),
-            ready: Vec::new(),
             seq: 0,
             stats,
             trace: trace_window.map(|w| BandwidthTrace::new(w, cores)),
         }
     }
-}
 
-/// An ideal memory has no row buffers or queues, so it reports no device
-/// events: the probe argument is unused.
-impl<P: Probe> MemorySystem<P> for IdealMemory {
-    fn enqueue(
-        &mut self,
-        now: u64,
-        core: usize,
-        addr: u64,
-        is_write: bool,
-        meta: u64,
-        _probe: &mut P,
-    ) -> Result<(), EnqueueError> {
+    fn enqueue(&mut self, now: u64, core: usize, addr: u64, is_write: bool, meta: u64) {
         let done_at = now + self.latency;
         self.in_flight.push(Reverse((done_at, self.seq, core, addr, is_write, meta)));
         self.seq += 1;
@@ -322,10 +239,9 @@ impl<P: Probe> MemorySystem<P> for IdealMemory {
         if let Some(c) = self.stats.per_core_bytes.get_mut(core) {
             *c += TRANSACTION_BYTES;
         }
-        Ok(())
     }
 
-    fn tick(&mut self, now: u64, _probe: &mut P) {
+    fn advance_into(&mut self, now: u64, out: &mut Vec<Completion>) {
         while let Some(&Reverse((done_at, _, core, addr, is_write, meta))) = self.in_flight.peek() {
             if done_at > now {
                 break;
@@ -334,44 +250,13 @@ impl<P: Probe> MemorySystem<P> for IdealMemory {
             if let Some(t) = &mut self.trace {
                 t.record(done_at, core, TRANSACTION_BYTES);
             }
-            self.ready.push(Completion { meta, core, addr, is_write, completed_at: done_at });
+            out.push(Completion { meta, core, addr, is_write, completed_at: done_at });
         }
-    }
-
-    fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
-        if out.is_empty() {
-            std::mem::swap(out, &mut self.ready);
-        } else {
-            out.append(&mut self.ready);
-        }
-    }
-
-    fn next_event_cycle(&self) -> Option<u64> {
-        self.in_flight.peek().map(|&Reverse((done_at, ..))| done_at)
-    }
-
-    fn stats(&self) -> DramStats {
-        let mut s = self.stats.clone();
-        s.total = s.per_channel[0].clone();
-        s
-    }
-
-    fn pending(&self) -> usize {
-        self.in_flight.len() + self.ready.len()
-    }
-
-    fn bandwidth_trace(&self) -> Option<BandwidthTrace> {
-        self.trace.clone()
     }
 
     fn save_state(&self, w: &mut Writer) {
-        w.tag(MEMORY_TAG);
         w.u64(self.latency);
-        // The heap as its sorted key multiset: `(done_at, seq)` is unique
-        // per entry, so pop order is a pure function of this set.
-        let mut items: Vec<InFlightTxn> = self.in_flight.iter().map(|&Reverse(t)| t).collect();
-        items.sort_unstable();
-        w.seq(&items, |w, &(done_at, seq, core, addr, is_write, meta)| {
+        w.seq(&sorted_heap(&self.in_flight), |w, &(done_at, seq, core, addr, is_write, meta)| {
             w.u64(done_at);
             w.u64(seq);
             w.usize(core);
@@ -379,7 +264,6 @@ impl<P: Probe> MemorySystem<P> for IdealMemory {
             w.bool(is_write);
             w.u64(meta);
         });
-        save_completions(w, &self.ready);
         w.u64(self.seq);
         let ch = &self.stats.per_channel[0];
         for v in [
@@ -401,14 +285,12 @@ impl<P: Probe> MemorySystem<P> for IdealMemory {
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(MEMORY_TAG)?;
         if r.u64()? != self.latency {
             return Err(SnapError::BadValue("ideal memory latency mismatch"));
         }
         let items =
             r.seq(|r| Ok((r.u64()?, r.u64()?, r.usize()?, r.u64()?, r.bool()?, r.u64()?)))?;
         self.in_flight = items.into_iter().map(Reverse).collect();
-        self.ready = load_completions(r)?;
         self.seq = r.u64()?;
         let ch = &mut self.stats.per_channel[0];
         ch.reads = r.u64()?;
@@ -435,37 +317,30 @@ impl<P: Probe> MemorySystem<P> for IdealMemory {
     }
 }
 
-/// Build the backend selected by `cfg.memory`, reporting into whichever
-/// probe the simulation hands each call.
-pub(crate) fn build_memory<P: Probe>(cfg: &SystemConfig) -> Box<dyn MemorySystem<P>> {
-    match cfg.memory {
-        MemoryModel::Timing => Box::new(DramMemory::from_config(cfg)),
-        MemoryModel::Ideal { latency } => {
-            Box::new(IdealMemory::new(cfg.cores, latency, cfg.trace_window))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mnpu_probe::NullProbe;
 
-    fn drive(mem: &mut dyn MemorySystem, until: u64) -> Vec<Completion> {
+    fn ideal(cores: usize, latency: u64, trace_window: Option<u64>) -> Memory {
+        Memory::Ideal(IdealMemory::new(cores, latency, trace_window))
+    }
+
+    fn drive(mem: &mut Memory, until: u64) -> Vec<Completion> {
         let mut all = Vec::new();
         for now in 0..=until {
-            mem.tick(now, &mut NullProbe);
-            all.extend(mem.drain_completions());
+            mem.advance_into(now, &mut all, &mut NullProbe);
         }
         all
     }
 
     #[test]
     fn ideal_memory_fixed_latency() {
-        let mem: &mut dyn MemorySystem = &mut IdealMemory::new(2, 10, None);
+        let mut mem = ideal(2, 10, None);
         mem.enqueue(0, 0, 0x40, false, 7, &mut NullProbe).unwrap();
         mem.enqueue(3, 1, 0x80, true, 8, &mut NullProbe).unwrap();
-        assert_eq!(mem.next_event_cycle(), Some(10));
-        let done = drive(mem, 20);
+        assert_eq!(mem.next_event(), Some(10));
+        let done = drive(&mut mem, 20);
         assert_eq!(done.len(), 2);
         assert_eq!((done[0].meta, done[0].completed_at), (7, 10));
         assert_eq!((done[1].meta, done[1].completed_at), (8, 13));
@@ -474,21 +349,21 @@ mod tests {
 
     #[test]
     fn ideal_memory_never_rejects() {
-        let mem: &mut dyn MemorySystem = &mut IdealMemory::new(1, 5, None);
+        let mut mem = ideal(1, 5, None);
         for i in 0..10_000u64 {
             assert!(mem.enqueue(0, 0, i * 64, i % 2 == 0, i, &mut NullProbe).is_ok());
         }
         assert_eq!(mem.pending(), 10_000);
-        let done = drive(mem, 5);
+        let done = drive(&mut mem, 5);
         assert_eq!(done.len(), 10_000, "infinite bandwidth: all complete together");
     }
 
     #[test]
     fn ideal_memory_counts_stats() {
-        let mem: &mut dyn MemorySystem = &mut IdealMemory::new(2, 4, Some(8));
+        let mut mem = ideal(2, 4, Some(8));
         mem.enqueue(0, 0, 0x0, false, 0, &mut NullProbe).unwrap();
         mem.enqueue(0, 1, 0x40, true, 1, &mut NullProbe).unwrap();
-        drive(mem, 8);
+        drive(&mut mem, 8);
         let s = mem.stats();
         assert_eq!(s.total.reads, 1);
         assert_eq!(s.total.writes, 1);

@@ -4,13 +4,13 @@
 //! into sibling modules: [`crate::stage`] (DMA burst expansion),
 //! [`crate::core_rt`] (the per-core tile pipeline), [`crate::arbiter`]
 //! (round-robin issue order and walker grants) and [`crate::memory`] (the
-//! pluggable [`MemorySystem`] backends).
+//! DRAM and ideal memory backends).
 
 use crate::arbiter::Arbiter;
 use crate::core_rt::CoreRt;
 use crate::dispatch_probe;
 use crate::memmap::PageTable;
-use crate::memory::{build_memory, MemorySystem};
+use crate::memory::Memory;
 use crate::report::{CoreReport, LogEvent, LogKind, RunReport};
 use crate::stage::Stage;
 use crate::system::SystemConfig;
@@ -19,9 +19,8 @@ use mnpu_mmu::{Mmu, WalkStep};
 use mnpu_model::Network;
 use mnpu_probe::{CoreState, Event, NullProbe, Phase, Probe};
 use mnpu_systolic::WorkloadTrace;
-use std::collections::{BTreeMap, VecDeque};
-
-use mnpu_dram::MonotonicQueue;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Tag bit distinguishing page-table walk reads from data transactions.
 pub(crate) const META_WALK: u64 = 1 << 63;
@@ -75,7 +74,7 @@ impl RequestLog {
 #[derive(Debug)]
 pub struct Simulation<P: Probe = NullProbe> {
     pub(crate) cfg: SystemConfig,
-    pub(crate) memory: Box<dyn MemorySystem<P>>,
+    pub(crate) memory: Memory,
     pub(crate) mmu: Option<Mmu>,
     pub(crate) page_tables: Vec<PageTable>,
     pub(crate) cores: Vec<CoreRt>,
@@ -89,16 +88,14 @@ pub struct Simulation<P: Probe = NullProbe> {
     pub(crate) log: Option<RequestLog>,
     pub(crate) probe: P,
     pub(crate) noc: Option<mnpu_noc::Crossbar>,
-    /// Requests in flight on the interconnect. Lane = producing core: each
-    /// crossbar request link hands out nondecreasing delivery times, so
-    /// pushes are `O(1)` ring-buffer appends (see [`MonotonicQueue`]).
-    pub(crate) noc_requests: MonotonicQueue<NocRequest>,
-    /// Responses in flight back to cores: (arrival, meta, core). Lane =
-    /// destination core, matching the per-core response links.
-    pub(crate) noc_responses: MonotonicQueue<(u64, u64, usize)>,
-    /// Reused buffer for draining memory completions each loop iteration.
-    /// Always drained back to empty within [`Simulation::pump`], which is
-    /// why snapshots may skip it.
+    /// Requests in flight on the interconnect, popped in full-tuple order.
+    pub(crate) noc_requests: BinaryHeap<Reverse<NocRequest>>,
+    /// Responses in flight back to cores: (arrival, meta, core), popped in
+    /// full-tuple order.
+    pub(crate) noc_responses: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// The one completion buffer: the memory backend appends to it and
+    /// [`Simulation::pump`] drains it back to empty in the same pass,
+    /// which is why snapshots may skip it.
     pub(crate) completion_buf: Vec<Completion>,
     /// Shadow MMUs mirroring the primary's call sequence for warm-start
     /// prefix sharing (`None` outside prefix-shared sweeps; see
@@ -228,17 +225,6 @@ impl Simulation<NullProbe> {
             resumed.run()
         })
     }
-
-    /// Build an uninstrumented simulation with every core vacant — the
-    /// starting point for serve mode, where workloads are bound later with
-    /// [`Simulation::attach`] as jobs are dispatched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new_idle(cfg: &SystemConfig) -> Self {
-        Simulation::with_probe_idle(cfg, NullProbe)
-    }
 }
 
 impl<P: Probe> Simulation<P> {
@@ -263,9 +249,10 @@ impl<P: Probe> Simulation<P> {
         Simulation::build(cfg, cores, vec![false; cfg.cores], probe)
     }
 
-    /// [`Simulation::new_idle`] with an explicit probe: every core starts
-    /// vacant (already finished, finish pre-reported) and waits for an
-    /// [`Simulation::attach`].
+    /// Build a simulation instrumented by `probe` with every core vacant
+    /// (already finished, finish pre-reported) — the starting point for
+    /// serve mode, where workloads are bound later with
+    /// [`Simulation::attach`] as jobs are dispatched.
     ///
     /// # Panics
     ///
@@ -280,7 +267,7 @@ impl<P: Probe> Simulation<P> {
             panic!("invalid system config: {e}");
         }
 
-        let memory = build_memory::<P>(cfg);
+        let memory = Memory::new(cfg);
 
         let cap = cfg.capacity_per_core();
         let page_tables: Vec<PageTable> = (0..cfg.cores)
@@ -302,8 +289,8 @@ impl<P: Probe> Simulation<P> {
             log: cfg.request_log.then(|| RequestLog::new(cfg.request_log_cap)),
             probe,
             noc: cfg.noc.as_ref().map(|n| mnpu_noc::Crossbar::new(n, cfg.cores)),
-            noc_requests: MonotonicQueue::new(cfg.cores),
-            noc_responses: MonotonicQueue::new(cfg.cores),
+            noc_requests: BinaryHeap::new(),
+            noc_responses: BinaryHeap::new(),
             completion_buf: Vec::new(),
             shadows: None,
             waiter_pool: Vec::new(),
@@ -346,14 +333,14 @@ impl<P: Probe> Simulation<P> {
     /// [`Simulation::advance`] never double-arbitrates it.
     fn pump(&mut self) {
         // Interconnect deliveries due by now.
-        while let Some(&(t, core, paddr, is_write, meta)) = self.noc_requests.peek() {
+        while let Some(&Reverse((t, core, paddr, is_write, meta))) = self.noc_requests.peek() {
             if t > self.now {
                 break;
             }
             self.noc_requests.pop();
             self.enqueue_direct(core, paddr, is_write, meta);
         }
-        while let Some(&(t, meta, core)) = self.noc_responses.peek() {
+        while let Some(&Reverse((t, meta, core))) = self.noc_responses.peek() {
             if t > self.now {
                 break;
             }
@@ -361,17 +348,16 @@ impl<P: Probe> Simulation<P> {
             self.handle_completion(meta, core);
         }
 
-        self.memory.tick(self.now, &mut self.probe);
-        // Reused drain buffer: taken out for the duration of the walk
+        // Reused completion buffer: taken out for the duration of the walk
         // because `handle_completion` needs `&mut self`.
         let mut ready = std::mem::take(&mut self.completion_buf);
-        self.memory.drain_completions_into(&mut ready);
+        self.memory.advance_into(self.now, &mut ready, &mut self.probe);
         for c in ready.drain(..) {
             if let Some(noc) = &mut self.noc {
                 let arrival =
                     noc.response_delivery(c.completed_at.min(self.now), c.core, TRANSACTION_BYTES);
                 if arrival > self.now {
-                    self.noc_responses.push(c.core, (arrival, c.meta, c.core));
+                    self.noc_responses.push(Reverse((arrival, c.meta, c.core)));
                     continue;
                 }
             }
@@ -395,11 +381,11 @@ impl<P: Probe> Simulation<P> {
     /// The next cycle at which simulation state can change; `None` when
     /// nothing is in flight anywhere.
     fn next_event(&self) -> Option<u64> {
-        let mut next: Option<u64> = self.memory.next_event_cycle();
-        if let Some(&(t, ..)) = self.noc_requests.peek() {
+        let mut next: Option<u64> = self.memory.next_event();
+        if let Some(&Reverse((t, ..))) = self.noc_requests.peek() {
             next = Some(next.map_or(t, |n| n.min(t)));
         }
-        if let Some(&(t, ..)) = self.noc_responses.peek() {
+        if let Some(&Reverse((t, ..))) = self.noc_responses.peek() {
             next = Some(next.map_or(t, |n| n.min(t)));
         }
         for core in &self.cores {

@@ -27,15 +27,15 @@
 use crate::arbiter::{Arbiter, RetryTxn};
 use crate::core_rt::CoreRt;
 use crate::report::{LogEvent, LogKind};
-use crate::sim::{NocRequest, RequestLog, Simulation};
+use crate::sim::{RequestLog, Simulation};
 use crate::stage::Stage;
 use crate::system::SystemConfig;
-use mnpu_dram::MonotonicQueue;
 use mnpu_mmu::Mmu;
 use mnpu_probe::Probe;
 use mnpu_snapshot::{fingerprint, fingerprint_u64, Reader, SimSnapshot, SnapError, Writer};
 use mnpu_systolic::WorkloadTrace;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Section tag for the engine's own state.
 const ENGINE_TAG: u8 = 0xC0;
@@ -60,6 +60,16 @@ pub fn trace_fingerprint(trace: &WorkloadTrace) -> u64 {
     h = fingerprint_u64(h, trace.footprint_bytes());
     h = fingerprint_u64(h, trace.total_traffic_bytes());
     h
+}
+
+/// The elements of a min-heap in ascending order — the snapshot form of
+/// the ideal memory's in-flight list and the NoC queues. Pop order is a
+/// pure function of this list, so collecting it back into a heap restores
+/// the same queue.
+pub(crate) fn sorted_heap<T: Ord + Copy>(heap: &BinaryHeap<Reverse<T>>) -> Vec<T> {
+    let mut items: Vec<T> = heap.iter().map(|&Reverse(t)| t).collect();
+    items.sort_unstable();
+    items
 }
 
 fn log_kind_code(k: LogKind) -> u8 {
@@ -272,14 +282,14 @@ impl<P: Probe> Simulation<P> {
         w.seq(&self.page_tables, |w, pt| pt.save_state(w));
         w.opt(&mmu, |w, m| m.save_state(w));
         w.opt(&self.noc, |w, n| n.save_state(w));
-        w.seq(&self.noc_requests.snapshot_items(), |w, &(t, core, paddr, is_write, meta)| {
+        w.seq(&sorted_heap(&self.noc_requests), |w, &(t, core, paddr, is_write, meta)| {
             w.u64(t);
             w.usize(core);
             w.u64(paddr);
             w.bool(is_write);
             w.u64(meta);
         });
-        w.seq(&self.noc_responses.snapshot_items(), |w, &(t, meta, core)| {
+        w.seq(&sorted_heap(&self.noc_responses), |w, &(t, meta, core)| {
             w.u64(t);
             w.u64(meta);
             w.usize(core);
@@ -372,21 +382,10 @@ impl<P: Probe> Simulation<P> {
         if let Some(noc) = &mut self.noc {
             noc.load_state(&mut r)?;
         }
-        // Rebuild the monotone queues by pushing the sorted multisets into
-        // lane 0: pop order is a pure function of the contents, so this is
-        // observationally exact (see `MonotonicQueue::snapshot_items`).
         let requests = r.seq(|r| Ok((r.u64()?, r.usize()?, r.u64()?, r.bool()?, r.u64()?)))?;
-        let mut noc_requests = MonotonicQueue::<NocRequest>::new(ncores);
-        for item in requests {
-            noc_requests.push(0, item);
-        }
-        self.noc_requests = noc_requests;
+        self.noc_requests = requests.into_iter().map(Reverse).collect();
         let responses = r.seq(|r| Ok((r.u64()?, r.u64()?, r.usize()?)))?;
-        let mut noc_responses = MonotonicQueue::new(ncores);
-        for item in responses {
-            noc_responses.push(0, item);
-        }
-        self.noc_responses = noc_responses;
+        self.noc_responses = responses.into_iter().map(Reverse).collect();
         let has_log = r.bool()?;
         if has_log != self.log.is_some() {
             return Err(SnapError::BadValue("request log enablement mismatch"));

@@ -245,9 +245,8 @@ pub struct SystemConfig {
     /// Optional on-chip interconnect between cores and the memory system
     /// (an extension; `None` = ideal interconnect, as the paper assumes).
     pub noc: Option<mnpu_noc::NocConfig>,
-    /// Which [`crate::MemorySystem`] backend services memory traffic:
-    /// the full DRAM timing model (default) or a fixed-latency ideal
-    /// memory.
+    /// Which backend services memory traffic: the full DRAM timing model
+    /// (default) or a fixed-latency ideal memory.
     pub memory: MemoryModel,
 }
 
@@ -338,8 +337,9 @@ impl SystemConfig {
     }
 
     /// Replace the DRAM timing model with a fixed-latency,
-    /// infinite-bandwidth [`crate::IdealMemory`] — a contention-free upper
-    /// bound that isolates compute and translation effects.
+    /// infinite-bandwidth ideal memory ([`MemoryModel::Ideal`]) — a
+    /// contention-free upper bound that isolates compute and translation
+    /// effects.
     pub fn with_ideal_memory(mut self, latency: u64) -> Self {
         self.memory = MemoryModel::Ideal { latency };
         self

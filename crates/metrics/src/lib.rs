@@ -233,11 +233,6 @@ impl BoxStats {
     pub fn range(&self) -> f64 {
         self.max - self.min
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Tail-latency summary of a cycle-valued sample (per-job queueing delay,

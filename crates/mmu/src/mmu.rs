@@ -315,11 +315,6 @@ impl Mmu {
         &self.stats[core]
     }
 
-    /// The walker pool (peak occupancy, rejects, …).
-    pub fn walker_pool(&self) -> &WalkerPool {
-        &self.walkers
-    }
-
     /// Serialize all mutable MMU state: TLB contents, walker occupancy,
     /// in-flight walks and the coalescing table (both in sorted key order —
     /// their map iteration order is never behaviorally observed), the walk

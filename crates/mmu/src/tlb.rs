@@ -132,15 +132,6 @@ impl Tlb {
         self.misses
     }
 
-    /// Hit rate in `[0, 1]` (0 when never probed).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-
     /// Number of resident entries.
     pub fn occupancy(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()

@@ -120,14 +120,6 @@ pub struct MappingOutcome {
     pub chosen: f64,
 }
 
-impl MappingOutcome {
-    /// Chosen score normalized to the random baseline (> 1 ⇒ the predictor
-    /// beat random assignment).
-    pub fn chosen_vs_expected(&self) -> f64 {
-        self.chosen / self.expected
-    }
-}
-
 /// Run the mapping study for one multiset: evaluate every matching with the
 /// *actual* pair table, pick the predictor's favourite with the *predicted*
 /// table, and summarize.

@@ -756,12 +756,6 @@ fn metrics(inner: &Arc<Inner>) -> String {
     );
     prom::counter(
         &mut out,
-        "sim_run_cache_hits_total",
-        "Bench-harness run-cache hits, process-wide.",
-        sim.run_cache_hits,
-    );
-    prom::counter(
-        &mut out,
         "sim_prefix_share_sims_total",
         "Simulations served from warm-start prefix groups, process-wide.",
         sim.prefix_share_sims,

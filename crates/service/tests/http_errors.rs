@@ -129,10 +129,14 @@ fn resume_version_mismatch_is_409_not_a_worker_death() {
     assert!(resp.contains("VersionMismatch"), "{resp}");
     // A right-version wrapper around corrupt snapshot bytes is the same
     // class of conflict.
-    let body = r#"{"kind":"networks","cores":1,"sharing":"ideal","networks":["ncf"],
-        "resume":{"format":"mnpu-job-checkpoint","version":1,"kind":"batch","payload":""}}"#;
-    let (status, resp) = request(addr, "POST", "/v1/jobs", body);
+    let body = format!(
+        r#"{{"kind":"networks","cores":1,"sharing":"ideal","networks":["ncf"],
+        "resume":{{"format":"mnpu-job-checkpoint","version":{},"kind":"batch","payload":""}}}}"#,
+        mnpu_engine::SNAPSHOT_VERSION
+    );
+    let (status, resp) = request(addr, "POST", "/v1/jobs", &body);
     assert_eq!(status, 409, "{resp}");
+    assert!(!resp.contains("VersionMismatch"), "{resp}");
     // A checkpoint that *decodes* but is offered to a non-resumable kind
     // is a plain 400 at admission.
     let cfg = mnpu_engine::SystemConfig::bench(1, mnpu_engine::SharingLevel::Ideal);

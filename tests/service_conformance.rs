@@ -550,7 +550,6 @@ fn metrics_counters_match_the_status_timelines() {
             "service_suspended_total",
             "service_cache_hits_total",
             "service_worker_busy_ms_total",
-            "sim_run_cache_hits_total",
             "sim_prefix_share_sims_total",
             "sim_fastfwd_commits_total",
             "service_job_latency_seconds",
