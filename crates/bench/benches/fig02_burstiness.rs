@@ -2,21 +2,8 @@
 //! pattern of NCF on a single-core NPU (moving average over 1000 cycles).
 
 use mnpu_bench::figures::bandwidth::fig02_burstiness;
+use mnpu_bench::Harness;
 
 fn main() {
-    let b = fig02_burstiness();
-    println!("Fig. 2b — NCF memory-request burstiness (single core, Ideal)");
-    println!("window = {} cycles (smoothed over 10 windows)", b.window);
-    println!(
-        "peak = {:.3} req/cycle, mean = {:.3} req/cycle, peak/mean = {:.1}x",
-        b.peak,
-        b.mean,
-        b.peak / b.mean.max(1e-12)
-    );
-    println!("series ({} points, one per {} cycles):", b.series.len(), b.window);
-    let step = (b.series.len() / 60).max(1);
-    for (i, v) in b.series.iter().enumerate().step_by(step) {
-        let bar = "#".repeat((v / b.peak.max(1e-12) * 50.0) as usize);
-        println!("{:>8} | {:7.3} {}", i as u64 * b.window, v, bar);
-    }
+    print!("{}", fig02_burstiness(&Harness::new()));
 }

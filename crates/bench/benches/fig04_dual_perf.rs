@@ -1,19 +1,8 @@
 //! Bench target regenerating the paper's Fig. 4: dual-core mix performance (speedup vs Ideal) per sharing level
 
-use mnpu_bench::figures::sharing::{fig04_dual_performance, LEVEL_LABELS};
+use mnpu_bench::figures::sharing::fig04_dual_performance;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig04_dual_performance(&mut h);
-    println!("Fig. 4 — dual-core mix performance (speedup vs Ideal) per sharing level");
-    println!(
-        "{:<14}{:>10}{:>10}{:>10}{:>10}",
-        "mix", LEVEL_LABELS[0], LEVEL_LABELS[1], LEVEL_LABELS[2], LEVEL_LABELS[3]
-    );
-    for (label, v) in &r.mixes {
-        println!("{:<14}{:>10.3}{:>10.3}{:>10.3}{:>10.3}", label, v[0], v[1], v[2], v[3]);
-    }
-    let o = r.overall;
-    println!("{:<14}{:>10.3}{:>10.3}{:>10.3}{:>10.3}", "geomean", o[0], o[1], o[2], o[3]);
+    print!("{}", fig04_dual_performance(&Harness::new()));
 }

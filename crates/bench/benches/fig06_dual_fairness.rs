@@ -1,19 +1,8 @@
 //! Bench target regenerating the paper's Fig. 6: dual-core mix fairness (Eq. 1) per sharing level
 
-use mnpu_bench::figures::sharing::{fig06_dual_fairness, LEVEL_LABELS};
+use mnpu_bench::figures::sharing::fig06_dual_fairness;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig06_dual_fairness(&mut h);
-    println!("Fig. 6 — dual-core mix fairness (Eq. 1) per sharing level");
-    println!(
-        "{:<14}{:>10}{:>10}{:>10}{:>10}",
-        "mix", LEVEL_LABELS[0], LEVEL_LABELS[1], LEVEL_LABELS[2], LEVEL_LABELS[3]
-    );
-    for (label, v) in &r.mixes {
-        println!("{:<14}{:>10.3}{:>10.3}{:>10.3}{:>10.3}", label, v[0], v[1], v[2], v[3]);
-    }
-    let o = r.overall;
-    println!("{:<14}{:>10.3}{:>10.3}{:>10.3}{:>10.3}", "geomean", o[0], o[1], o[2], o[3]);
+    print!("{}", fig06_dual_fairness(&Harness::new()));
 }

@@ -1,28 +1,8 @@
 //! Bench target regenerating the paper's Fig. 7: quad-core fairness CDF per sharing level
 
-use mnpu_bench::figures::sharing::{fig07_quad_fairness_cdf, LEVEL_LABELS};
+use mnpu_bench::figures::sharing::fig07_quad_fairness_cdf;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig07_quad_fairness_cdf(&mut h);
-    println!("Fig. 7 — quad-core fairness CDF per sharing level");
-    println!("({} of {} quad-core mixes; MNPU_FULL=1 for all)", r.sampled, r.total);
-    println!(
-        "{:<10}{:>10}{:>10}{:>10}{:>10}",
-        "quantile", LEVEL_LABELS[0], LEVEL_LABELS[1], LEVEL_LABELS[2], LEVEL_LABELS[3]
-    );
-    for q in [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0] {
-        print!("{:<10.2}", q);
-        for cdf in &r.cdfs {
-            print!("{:>10.3}", cdf.quantile(q));
-        }
-        println!();
-    }
-    print!("{:<10}", "mean");
-    for cdf in &r.cdfs {
-        let m: f64 = cdf.values().iter().sum::<f64>() / cdf.len() as f64;
-        print!("{:>10.3}", m);
-    }
-    println!();
+    print!("{}", fig07_quad_fairness_cdf(&Harness::new()));
 }

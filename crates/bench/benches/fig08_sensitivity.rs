@@ -5,23 +5,5 @@ use mnpu_bench::figures::sharing::fig08_sensitivity;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig08_sensitivity(&mut h);
-    println!("Fig. 8 — per-workload +DWT speedup distribution over co-runners");
-    println!(
-        "{:<8}{:>8}{:>8}{:>8}{:>8}{:>8}{:>8}",
-        "wl", "min", "q1", "median", "q3", "max", "range"
-    );
-    for (name, b) in &r.per_workload {
-        println!(
-            "{:<8}{:>8.3}{:>8.3}{:>8.3}{:>8.3}{:>8.3}{:>8.3}",
-            name,
-            b.min,
-            b.q1,
-            b.median,
-            b.q3,
-            b.max,
-            b.range()
-        );
-    }
+    print!("{}", fig08_sensitivity(&Harness::new()));
 }

@@ -1,27 +1,8 @@
 //! Bench target regenerating the paper's Fig. 9: DRAM bandwidth partitioning, performance (translation off)
 
-use mnpu_bench::figures::bandwidth::{fig09_bw_partition_performance, BW_LABELS};
+use mnpu_bench::figures::bandwidth::fig09_bw_partition_performance;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig09_bw_partition_performance(&mut h);
-    println!("Fig. 9 — DRAM bandwidth partitioning, performance (translation off)");
-    print!("{:<14}", "mix");
-    for l in BW_LABELS {
-        print!("{:>11}", l);
-    }
-    println!();
-    for (label, v) in &r.mixes {
-        print!("{:<14}", label);
-        for x in v {
-            print!("{:>11.3}", x);
-        }
-        println!();
-    }
-    print!("{:<14}", "geomean");
-    for x in &r.overall {
-        print!("{:>11.3}", x);
-    }
-    println!();
+    print!("{}", fig09_bw_partition_performance(&Harness::new()));
 }

@@ -1,27 +1,8 @@
 //! Bench target regenerating the paper's Fig. 10: DRAM bandwidth partitioning, fairness (translation off)
 
-use mnpu_bench::figures::bandwidth::{fig10_bw_partition_fairness, BW_LABELS};
+use mnpu_bench::figures::bandwidth::fig10_bw_partition_fairness;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig10_bw_partition_fairness(&mut h);
-    println!("Fig. 10 — DRAM bandwidth partitioning, fairness (translation off)");
-    print!("{:<14}", "mix");
-    for l in BW_LABELS {
-        print!("{:>11}", l);
-    }
-    println!();
-    for (label, v) in &r.mixes {
-        print!("{:<14}", label);
-        for x in v {
-            print!("{:>11.3}", x);
-        }
-        println!();
-    }
-    print!("{:<14}", "geomean");
-    for x in &r.overall {
-        print!("{:>11.3}", x);
-    }
-    println!();
+    print!("{}", fig10_bw_partition_fairness(&Harness::new()));
 }

@@ -5,19 +5,5 @@ use mnpu_bench::figures::bandwidth::fig11_bandwidth_sweep;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig11_bandwidth_sweep(&mut h);
-    println!("Fig. 11 — single-core speedup vs DRAM bandwidth (8 GB/s channels)");
-    print!("{:<8}", "wl");
-    for ch in &r.channels {
-        print!("{:>9}", format!("{}GB/s", ch * 8));
-    }
-    println!();
-    for (name, s) in &r.series {
-        print!("{:<8}", name);
-        for v in s {
-            print!("{:>9.3}", v);
-        }
-        println!();
-    }
+    print!("{}", fig11_bandwidth_sweep(&Harness::new()));
 }

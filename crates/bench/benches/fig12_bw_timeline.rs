@@ -3,26 +3,8 @@
 //! their sum — the burst-overlap argument for dynamic sharing.
 
 use mnpu_bench::figures::bandwidth::fig12_bw_timeline;
+use mnpu_bench::Harness;
 
 fn main() {
-    let r = fig12_bw_timeline();
-    println!("Fig. 12 — bandwidth utilization timeline (window = {} cycles)", r.window);
-    println!(
-        "fraction of windows with single-workload demand >= 0.5 peak: {:.2}",
-        r.frac_above_half
-    );
-    println!("fraction of windows with summed demand > peak: {:.2}", r.frac_sum_above_peak);
-    println!("{:>10}{:>8}{:>8}{:>8}", "cycle", "ds2", "gpt2", "sum");
-    let n = r.sum.len();
-    let step = (n / 50).max(1);
-    for i in (0..n).step_by(step) {
-        let at = |v: &Vec<f64>| v.get(i).copied().unwrap_or(0.0);
-        println!(
-            "{:>10}{:>8.3}{:>8.3}{:>8.3}",
-            i as u64 * r.window,
-            at(&r.ds2),
-            at(&r.gpt2),
-            r.sum[i]
-        );
-    }
+    print!("{}", fig12_bw_timeline(&Harness::new()));
 }

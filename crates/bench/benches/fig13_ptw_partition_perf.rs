@@ -1,27 +1,8 @@
 //! Bench target regenerating the paper's Fig. 13: PTW partitioning, performance (normalized to Ideal)
 
-use mnpu_bench::figures::translation::{fig13_ptw_partition_performance, PTW_LABELS};
+use mnpu_bench::figures::translation::fig13_ptw_partition_performance;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig13_ptw_partition_performance(&mut h);
-    println!("Fig. 13 — PTW partitioning, performance (normalized to Ideal)");
-    print!("{:<14}", "mix");
-    for l in PTW_LABELS {
-        print!("{:>10}", l);
-    }
-    println!();
-    for (label, v) in &r.mixes {
-        print!("{:<14}", label);
-        for x in v {
-            print!("{:>10.3}", x);
-        }
-        println!();
-    }
-    print!("{:<14}", "geomean");
-    for x in &r.overall {
-        print!("{:>10.3}", x);
-    }
-    println!();
+    print!("{}", fig13_ptw_partition_performance(&Harness::new()));
 }

@@ -1,27 +1,8 @@
 //! Bench target regenerating the paper's Fig. 14: PTW partitioning, fairness
 
-use mnpu_bench::figures::translation::{fig14_ptw_partition_fairness, PTW_LABELS};
+use mnpu_bench::figures::translation::fig14_ptw_partition_fairness;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig14_ptw_partition_fairness(&mut h);
-    println!("Fig. 14 — PTW partitioning, fairness");
-    print!("{:<14}", "mix");
-    for l in PTW_LABELS {
-        print!("{:>10}", l);
-    }
-    println!();
-    for (label, v) in &r.mixes {
-        print!("{:<14}", label);
-        for x in v {
-            print!("{:>10.3}", x);
-        }
-        println!();
-    }
-    print!("{:<14}", "geomean");
-    for x in &r.overall {
-        print!("{:>10.3}", x);
-    }
-    println!();
+    print!("{}", fig14_ptw_partition_fairness(&Harness::new()));
 }

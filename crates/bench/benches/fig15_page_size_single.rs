@@ -5,12 +5,5 @@ use mnpu_bench::figures::translation::fig15_page_size_single;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig15_page_size_single(&mut h);
-    println!("Fig. 15 — page-size speedup over 4KB (single core)");
-    println!("{:<8}{:>10}{:>10}", "wl", "64KB", "1MB");
-    for (name, s64, s1m) in &r.rows {
-        println!("{:<8}{:>10.3}{:>10.3}", name, s64, s1m);
-    }
-    println!("{:<8}{:>10.3}{:>10.3}", "geomean", r.overall.0, r.overall.1);
+    print!("{}", fig15_page_size_single(&Harness::new()));
 }

@@ -5,20 +5,5 @@ use mnpu_bench::figures::translation::fig16_page_size_multi;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let r = fig16_page_size_multi(&mut h);
-    println!(
-        "Fig. 16 — page-size scaling under +DWT ({} dual / {} quad mixes)",
-        r.dual_mixes, r.quad_mixes
-    );
-    println!(
-        "{:<8}{:>12}{:>12}{:>12}{:>12}{:>12}",
-        "cores", "perf 64KB", "perf 1MB", "fair 4KB", "fair 64KB", "fair 1MB"
-    );
-    for (cores, perf, fair) in &r.rows {
-        println!(
-            "{:<8}{:>12.3}{:>12.3}{:>12.3}{:>12.3}{:>12.3}",
-            cores, perf[0], perf[1], fair[0], fair[1], fair[2]
-        );
-    }
+    print!("{}", fig16_page_size_multi(&Harness::new()));
 }

@@ -1,24 +1,9 @@
 //! Bench target regenerating the paper's Fig. 17: the co-runner mapping
 //! study performance CDF (prediction vs oracle, worst, and random assignment).
 
-use mnpu_bench::figures::mapping::{fig17_mapping_performance, PairTables};
+use mnpu_bench::figures::mapping::fig17_mapping_performance;
 use mnpu_bench::Harness;
 
 fn main() {
-    let mut h = Harness::new();
-    let tables = PairTables::build(&mut h);
-    let r = fig17_mapping_performance(&tables);
-    println!("Fig. 17 — mapping study, performance normalized to random assignment");
-    println!("({} of {} eight-workload multisets; MNPU_FULL=1 for all)", r.sampled, r.total);
-    println!("prediction beats random in {:.1}% of multisets", r.frac_better_than_random * 100.0);
-    println!("{:<10}{:>12}{:>12}{:>12}", "quantile", "worst", "prediction", "oracle");
-    for q in [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95] {
-        println!(
-            "{:<10.2}{:>12.4}{:>12.4}{:>12.4}",
-            q,
-            r.worst.quantile(q),
-            r.prediction.quantile(q),
-            r.oracle.quantile(q)
-        );
-    }
+    print!("{}", fig17_mapping_performance(&Harness::new()));
 }

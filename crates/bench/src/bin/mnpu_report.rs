@@ -1,193 +1,25 @@
 //! Generate a complete markdown reproduction report: runs every figure of
-//! the paper (reusing the persistent run cache) and writes the tables to
-//! one file.
+//! the paper (reusing the persistent run cache) and writes each figure's
+//! table — the one its `figNN_*` bench target prints — to one file.
 //!
 //! ```text
 //! cargo run --release -p mnpu-bench --bin mnpu_report [output.md]
 //! ```
 
-use mnpu_bench::figures::{bandwidth, mapping, sharing, translation};
+use mnpu_bench::figures::FIGURES;
 use mnpu_bench::Harness;
-use std::fmt::Write as _;
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "target/mnpu_report.md".into());
-    let mut h = Harness::new();
-    let mut md = String::from("# mNPUsim-rs reproduction report\n\n");
-    let _ = writeln!(
-        md,
-        "Quad stride: {}, full sweeps: {}\n",
+    let h = Harness::new();
+    let mut md = format!(
+        "# mNPUsim-rs reproduction report\n\nQuad stride: {}, full sweeps: {}\n",
         Harness::quad_stride(),
         Harness::full_sweeps()
     );
-
-    // Fig 2b.
-    let b = bandwidth::fig02_burstiness();
-    let _ = writeln!(md, "## Fig. 2b — NCF burstiness\n");
-    let _ = writeln!(
-        md,
-        "peak {:.3} req/cycle, mean {:.3}, ratio {:.1}x\n",
-        b.peak,
-        b.mean,
-        b.peak / b.mean.max(1e-12)
-    );
-
-    // Figs 4/6.
-    for (title, sweep) in [
-        ("Fig. 4 — dual-core performance", sharing::fig04_dual_performance(&mut h)),
-        ("Fig. 6 — dual-core fairness", sharing::fig06_dual_fairness(&mut h)),
-    ] {
-        let _ = writeln!(md, "## {title}\n");
-        let _ = writeln!(md, "| mix | Static | +D | +DW | +DWT |");
-        let _ = writeln!(md, "|-----|-------|----|-----|------|");
-        for (mix, v) in &sweep.mixes {
-            let _ =
-                writeln!(md, "| {mix} | {:.3} | {:.3} | {:.3} | {:.3} |", v[0], v[1], v[2], v[3]);
-        }
-        let o = sweep.overall;
-        let _ = writeln!(
-            md,
-            "| **geomean** | {:.3} | {:.3} | {:.3} | {:.3} |\n",
-            o[0], o[1], o[2], o[3]
-        );
+    for (_, figure) in FIGURES {
+        md.push_str(&format!("\n{}", figure(&h)));
     }
-
-    // Figs 5/7 (quantiles).
-    for (title, sweep) in [
-        ("Fig. 5 — quad-core performance CDF", sharing::fig05_quad_performance_cdf(&mut h)),
-        ("Fig. 7 — quad-core fairness CDF", sharing::fig07_quad_fairness_cdf(&mut h)),
-    ] {
-        let _ = writeln!(md, "## {title}\n");
-        let _ = writeln!(md, "({} of {} mixes)\n", sweep.sampled, sweep.total);
-        let _ = writeln!(md, "| quantile | Static | +D | +DW | +DWT |");
-        let _ = writeln!(md, "|----------|-------|----|-----|------|");
-        for q in [0.1, 0.25, 0.5, 0.75, 0.9] {
-            let _ = writeln!(
-                md,
-                "| {q:.2} | {:.3} | {:.3} | {:.3} | {:.3} |",
-                sweep.cdfs[0].quantile(q),
-                sweep.cdfs[1].quantile(q),
-                sweep.cdfs[2].quantile(q),
-                sweep.cdfs[3].quantile(q)
-            );
-        }
-        let _ = writeln!(md);
-    }
-
-    // Fig 8.
-    let s = sharing::fig08_sensitivity(&mut h);
-    let _ = writeln!(md, "## Fig. 8 — contention sensitivity (+DWT)\n");
-    let _ = writeln!(md, "| workload | min | median | max | range |");
-    let _ = writeln!(md, "|----------|-----|--------|-----|-------|");
-    for (w, b) in &s.per_workload {
-        let _ = writeln!(
-            md,
-            "| {w} | {:.3} | {:.3} | {:.3} | {:.3} |",
-            b.min,
-            b.median,
-            b.max,
-            b.range()
-        );
-    }
-    let _ = writeln!(md);
-
-    // Figs 9/10.
-    for (title, sweep) in [
-        (
-            "Fig. 9 — bandwidth partitioning, performance",
-            bandwidth::fig09_bw_partition_performance(&mut h),
-        ),
-        (
-            "Fig. 10 — bandwidth partitioning, fairness",
-            bandwidth::fig10_bw_partition_fairness(&mut h),
-        ),
-    ] {
-        let _ = writeln!(md, "## {title}\n");
-        let _ = writeln!(md, "| {} |", bandwidth::BW_LABELS.join(" | "));
-        let _ = writeln!(md, "|{}|", vec!["----"; bandwidth::BW_LABELS.len()].join("|"));
-        let row: Vec<String> = sweep.overall.iter().map(|v| format!("{v:.3}")).collect();
-        let _ = writeln!(md, "| {} |\n", row.join(" | "));
-    }
-
-    // Fig 11.
-    let bw = bandwidth::fig11_bandwidth_sweep(&mut h);
-    let _ = writeln!(md, "## Fig. 11 — bandwidth sweep (speedup vs {} GB/s)\n", bw.channels[0] * 8);
-    let hdr: Vec<String> = bw.channels.iter().map(|c| format!("{} GB/s", c * 8)).collect();
-    let _ = writeln!(md, "| workload | {} |", hdr.join(" | "));
-    let _ = writeln!(md, "|----------|{}|", vec!["----"; bw.channels.len()].join("|"));
-    for (w, series) in &bw.series {
-        let row: Vec<String> = series.iter().map(|v| format!("{v:.2}")).collect();
-        let _ = writeln!(md, "| {w} | {} |", row.join(" | "));
-    }
-    let _ = writeln!(md);
-
-    // Fig 12.
-    let t = bandwidth::fig12_bw_timeline();
-    let _ = writeln!(md, "## Fig. 12 — bandwidth timeline (ds2 + gpt2)\n");
-    let _ = writeln!(
-        md,
-        "windows with single-workload demand >= 0.5 peak: {:.0}%\n",
-        t.frac_above_half * 100.0
-    );
-    let _ =
-        writeln!(md, "windows with summed demand > peak: {:.0}%\n", t.frac_sum_above_peak * 100.0);
-
-    // Figs 13/14.
-    for (title, sweep) in [
-        (
-            "Fig. 13 — PTW partitioning, performance",
-            translation::fig13_ptw_partition_performance(&mut h),
-        ),
-        ("Fig. 14 — PTW partitioning, fairness", translation::fig14_ptw_partition_fairness(&mut h)),
-    ] {
-        let _ = writeln!(md, "## {title}\n");
-        let _ = writeln!(md, "| {} |", translation::PTW_LABELS.join(" | "));
-        let _ = writeln!(md, "|{}|", vec!["----"; translation::PTW_LABELS.len()].join("|"));
-        let row: Vec<String> = sweep.overall.iter().map(|v| format!("{v:.3}")).collect();
-        let _ = writeln!(md, "| {} |\n", row.join(" | "));
-    }
-
-    // Figs 15/16.
-    let p = translation::fig15_page_size_single(&mut h);
-    let _ = writeln!(md, "## Fig. 15 — page-size speedup (single core)\n");
-    let _ = writeln!(md, "| workload | 64KB | 1MB |");
-    let _ = writeln!(md, "|----------|------|-----|");
-    for (w, a, b) in &p.rows {
-        let _ = writeln!(md, "| {w} | {a:.3} | {b:.3} |");
-    }
-    let _ = writeln!(md, "| **geomean** | {:.3} | {:.3} |\n", p.overall.0, p.overall.1);
-
-    let m = translation::fig16_page_size_multi(&mut h);
-    let _ = writeln!(md, "## Fig. 16 — page-size scaling (+DWT)\n");
-    let _ = writeln!(md, "| cores | perf 64KB | perf 1MB | fair 4KB | fair 64KB | fair 1MB |");
-    let _ = writeln!(md, "|-------|-----------|----------|----------|-----------|----------|");
-    for (cores, perf, fair) in &m.rows {
-        let _ = writeln!(
-            md,
-            "| {cores} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |",
-            perf[0], perf[1], fair[0], fair[1], fair[2]
-        );
-    }
-    let _ = writeln!(md);
-
-    // Figs 17/18.
-    let tables = mapping::PairTables::build(&mut h);
-    for (title, study) in [
-        ("Fig. 17 — mapping study, performance", mapping::fig17_mapping_performance(&tables)),
-        ("Fig. 18 — mapping study, fairness", mapping::fig18_mapping_fairness(&tables)),
-    ] {
-        let _ = writeln!(md, "## {title}\n");
-        let _ = writeln!(
-            md,
-            "prediction beats random in {:.1}% of {} multisets; median chosen/oracle/worst = {:.3}/{:.3}/{:.3}\n",
-            study.frac_better_than_random * 100.0,
-            study.sampled,
-            study.prediction.quantile(0.5),
-            study.oracle.quantile(0.5),
-            study.worst.quantile(0.5)
-        );
-    }
-
     std::fs::write(&out_path, md).expect("write report");
     println!("wrote {out_path}");
 }

@@ -1,172 +1,132 @@
 //! Figures 2b and 9–12: memory-bandwidth behavior.
 
+use super::{mix_sweep, prefetch, Metric, Table};
 use crate::harness::Harness;
-use mnpu_engine::{SharingLevel, Simulation, SystemConfig};
-use mnpu_metrics::{fairness, geomean, moving_average};
-use mnpu_model::{zoo, Scale};
-use mnpu_predict::mapping::multisets;
+use mnpu_engine::{SharingLevel, SystemConfig};
+use mnpu_metrics::moving_average;
 
-/// Fig. 2b data: the moving average (over a 1000-cycle window) of DRAM
-/// requests issued by a single-core NPU running NCF.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Burstiness {
-    /// Window length in cycles.
-    pub window: u64,
-    /// Smoothed requests-per-cycle series, one point per window.
-    pub series: Vec<f64>,
-    /// Peak of the smoothed series.
-    pub peak: f64,
-    /// Mean of the smoothed series.
-    pub mean: f64,
+/// Index of the zoo workload called `name`.
+fn workload(h: &Harness, name: &str) -> usize {
+    h.names().iter().position(|&n| n == name).expect("a zoo workload")
 }
 
-/// Compute Fig. 2b: NCF's bursty request pattern on a single core.
-pub fn fig02_burstiness() -> Burstiness {
+/// Window length, in cycles, of Fig. 2b's request trace.
+const BURST_WINDOW: u64 = 100;
+
+/// NCF's DRAM requests per cycle on a single-core NPU, one point per
+/// [`BURST_WINDOW`]: the per-window rate smoothed over 10 windows, the
+/// paper's 1000-cycle moving average.
+fn ncf_request_rate(h: &Harness) -> Vec<f64> {
     let mut cfg = SystemConfig::bench(1, SharingLevel::Ideal);
-    let window = 100;
-    cfg.trace_window = Some(window);
-    let r = Simulation::execute_networks(&cfg, &[zoo::ncf(Scale::Bench)]);
+    cfg.trace_window = Some(BURST_WINDOW);
+    let r = h.run_report(&cfg, &[workload(h, "ncf")]);
     let trace = r.bandwidth_trace.expect("trace enabled");
-    // Requests per cycle in each 100-cycle window, then a 10-window moving
-    // average = the paper's 1000-cycle smoothing.
-    let per_window: Vec<f64> =
-        trace.core_series(0).iter().map(|&bytes| bytes as f64 / 64.0 / window as f64).collect();
-    let series = moving_average(&per_window, 10);
+    let per_window: Vec<f64> = trace
+        .core_series(0)
+        .iter()
+        .map(|&bytes| bytes as f64 / 64.0 / BURST_WINDOW as f64)
+        .collect();
+    moving_average(&per_window, 10)
+}
+
+/// Fig. 2b: NCF's bursty request pattern on a single core, sampled to
+/// about 60 rows.
+pub fn fig02_burstiness(h: &Harness) -> Table {
+    let series = ncf_request_rate(h);
     let peak = series.iter().cloned().fold(0.0, f64::max);
     let mean = series.iter().sum::<f64>() / series.len().max(1) as f64;
-    Burstiness { window, series, peak, mean }
+    let step = (series.len() / 60).max(1);
+    let rows = series.iter().enumerate().step_by(step);
+    let rows = rows.map(|(i, &v)| ((i as u64 * BURST_WINDOW).to_string(), vec![v])).collect();
+    let title = "Fig. 2b — NCF memory-request burstiness (single core, Ideal)";
+    let mut t = Table::new(title, "cycle", &["req/cycle"], rows);
+    t.notes = vec![
+        format!("window = {BURST_WINDOW} cycles (smoothed over 10 windows)"),
+        format!(
+            "peak = {peak:.3} req/cycle, mean = {mean:.3} req/cycle, peak/mean = {:.1}x",
+            peak / mean.max(1e-12)
+        ),
+        format!(
+            "series: {} points, one per {BURST_WINDOW} cycles; one row per {step}",
+            series.len()
+        ),
+    ];
+    t
 }
 
 /// The five static channel splits of the dual-core Figs. 9/10, over the
-/// chip's 8 channels, plus labels for the derived columns.
+/// chip's 8 channels.
 pub const BW_PARTITIONS: [[usize; 2]; 5] = [[1, 7], [2, 6], [4, 4], [6, 2], [7, 1]];
 
-/// Column labels for [`BwPartitionSweep`]: five ratios, the per-mix best
-/// static choice, and dynamic sharing.
+/// Column labels of Figs. 9/10: five ratios, the per-mix best static
+/// choice, and dynamic sharing.
 pub const BW_LABELS: [&str; 7] = ["1:7", "2:6", "4:4", "6:2", "7:1", "StaticBest", "Dynamic"];
 
-/// Result of the bandwidth-partitioning sweep (translation disabled, as in
-/// the paper's §4.3).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BwPartitionSweep {
-    /// `(mix, metric per BW_LABELS column)`.
-    pub mixes: Vec<(String, [f64; 7])>,
-    /// Column-wise geomean.
-    pub overall: [f64; 7],
-}
-
-fn bw_configs() -> ([SystemConfig; 5], SystemConfig) {
-    let statics = BW_PARTITIONS.map(|p| {
+/// The bandwidth-partitioning sweep (translation disabled, as in the
+/// paper's §4.3). "StaticBest" is the static partition with the best
+/// performance for each mix; the fairness figure reports the fairness of
+/// that same choice.
+fn bw_partitions(h: &Harness, title: &str, metric: Metric) -> Table {
+    let statics = BW_PARTITIONS.iter().map(|p| {
         Harness::dual(SharingLevel::Static).with_channel_partition(p.to_vec()).without_translation()
     });
     let dynamic = Harness::dual(SharingLevel::PlusD).without_translation();
-    (statics, dynamic)
-}
-
-fn bw_sweep(
-    h: &mut Harness,
-    metric: impl Fn(&[f64]) -> f64,
-    best_by_perf: bool,
-) -> BwPartitionSweep {
-    let (statics, dynamic) = bw_configs();
-    let mut mixes = Vec::new();
-    for ws in multisets(8, 2) {
-        let label: String = ws.iter().map(|&w| h.names()[w]).collect::<Vec<_>>().join("+");
-        let mut vals = [0.0f64; 7];
-        let mut best = f64::NEG_INFINITY;
-        let mut best_metric = 0.0;
-        for (i, cfg) in statics.iter().enumerate() {
-            let speedups = h.mix_speedups(cfg, &ws);
-            vals[i] = metric(&speedups);
-            // "Static Best" picks the best partition *by performance*; the
-            // fairness figure reports the fairness of that same choice.
-            let perf = if best_by_perf { geomean(&speedups) } else { vals[i] };
-            if perf > best {
-                best = perf;
-                best_metric = vals[i];
-            }
-        }
-        vals[5] = best_metric;
-        vals[6] = metric(&h.mix_speedups(&dynamic, &ws));
-        mixes.push((label, vals));
+    let chips: Vec<SystemConfig> = statics.chain([dynamic]).collect();
+    let perf = mix_sweep(h, &chips, Metric::Performance);
+    let mut rows = mix_sweep(h, &chips, metric);
+    for ((_, vals), (_, perf)) in rows.iter_mut().zip(&perf) {
+        let best = (1..BW_PARTITIONS.len()).fold(0, |b, i| if perf[i] > perf[b] { i } else { b });
+        vals.insert(BW_PARTITIONS.len(), vals[best]);
     }
-    let overall =
-        std::array::from_fn(|i| geomean(&mixes.iter().map(|(_, v)| v[i]).collect::<Vec<_>>()));
-    BwPartitionSweep { mixes, overall }
+    Table::new(title, "mix", &BW_LABELS, rows).with_geomean()
 }
 
 /// Fig. 9: geomean performance of each bandwidth-partitioning scheme,
 /// normalized to Ideal (translation disabled throughout).
-pub fn fig09_bw_partition_performance(h: &mut Harness) -> BwPartitionSweep {
-    bw_sweep(h, geomean, true)
+pub fn fig09_bw_partition_performance(h: &Harness) -> Table {
+    let title = "Fig. 9 — DRAM bandwidth partitioning, performance (translation off)";
+    bw_partitions(h, title, Metric::Performance)
 }
 
 /// Fig. 10: fairness of each bandwidth-partitioning scheme.
-pub fn fig10_bw_partition_fairness(h: &mut Harness) -> BwPartitionSweep {
-    bw_sweep(
-        h,
-        |s| {
-            let slowdowns: Vec<f64> = s.iter().map(|x| 1.0 / x).collect();
-            fairness(&slowdowns)
-        },
-        true,
-    )
+pub fn fig10_bw_partition_fairness(h: &Harness) -> Table {
+    let title = "Fig. 10 — DRAM bandwidth partitioning, fairness (translation off)";
+    bw_partitions(h, title, Metric::Fairness)
 }
 
-/// Fig. 11 data: per-workload speedup as single-core DRAM bandwidth grows,
-/// normalized to the smallest configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BandwidthSweep {
-    /// Channel counts swept (each channel is 8 GB/s at bench scale).
-    pub channels: Vec<usize>,
-    /// `(workload, speedup per channel count)`.
-    pub series: Vec<(String, Vec<f64>)>,
+/// Fig. 11: per-workload single-core speedup as DRAM bandwidth grows
+/// from 1 to 16 channels (8 GB/s each at bench scale), normalized to the
+/// smallest configuration.
+pub fn fig11_bandwidth_sweep(h: &Harness) -> Table {
+    let channels = [1usize, 2, 4, 8, 16];
+    let chips = channels.map(|ch| {
+        let mut cfg = SystemConfig::bench(1, SharingLevel::Ideal);
+        cfg.channels_per_core = ch;
+        cfg
+    });
+    let n = h.names().len();
+    prefetch(h, &chips, &(0..n).map(|w| vec![w]).collect::<Vec<_>>());
+    let rows = (0..n)
+        .map(|w| {
+            let cycles: Vec<f64> = chips.iter().map(|c| h.run_mix(c, &[w])[0] as f64).collect();
+            (h.names()[w].to_string(), cycles.iter().map(|c| cycles[0] / c).collect())
+        })
+        .collect();
+    let columns = channels.map(|ch| format!("{}GB/s", ch * 8));
+    let title = "Fig. 11 — single-core speedup vs DRAM bandwidth (8 GB/s channels)";
+    Table::new(title, "wl", &columns, rows)
 }
 
-/// Compute Fig. 11: single-core speedup vs DRAM bandwidth.
-pub fn fig11_bandwidth_sweep(h: &mut Harness) -> BandwidthSweep {
-    let channels = vec![1usize, 2, 4, 8, 16];
-    let mut series = Vec::new();
-    for w in 0..h.names().len() {
-        let mut cycles = Vec::new();
-        for &ch in &channels {
-            let mut cfg = SystemConfig::bench(1, SharingLevel::Ideal);
-            cfg.channels_per_core = ch;
-            cycles.push(h.run_mix(&cfg, &[w])[0] as f64);
-        }
-        let base = cycles[0];
-        series.push((h.names()[w].to_string(), cycles.iter().map(|c| base / c).collect()));
-    }
-    BandwidthSweep { channels, series }
-}
-
-/// Fig. 12 data: bandwidth-utilization timelines of ds2 and gpt2 running
-/// alone on the dual-core Ideal configuration, plus their sum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BwTimeline {
-    /// Window length in DRAM cycles.
-    pub window: u64,
-    /// ds2's utilization per window, normalized to the chip peak.
-    pub ds2: Vec<f64>,
-    /// gpt2's utilization per window.
-    pub gpt2: Vec<f64>,
-    /// Element-wise sum (the co-run demand the paper plots).
-    pub sum: Vec<f64>,
-    /// Fraction of windows where a single workload alone needs more than
-    /// half the peak (the paper's `y >= 0.5` argument against 4:4 splits).
-    pub frac_above_half: f64,
-    /// Fraction of windows where the summed demand exceeds the peak.
-    pub frac_sum_above_peak: f64,
-}
-
-/// Compute Fig. 12.
-pub fn fig12_bw_timeline() -> BwTimeline {
+/// Fig. 12: bandwidth-utilization timelines (normalized to the chip peak)
+/// of ds2 and gpt2 running alone on the dual-core Ideal configuration,
+/// plus their sum — the co-run demand the paper plots — sampled to about
+/// 50 rows.
+pub fn fig12_bw_timeline(h: &Harness) -> Table {
     let window = 2000;
     let run = |name: &str| {
         let mut cfg = Harness::dual(SharingLevel::PlusDwt).ideal_solo();
         cfg.trace_window = Some(window);
-        let net = zoo::by_name(name, Scale::Bench).expect("known benchmark");
-        let r = Simulation::execute_networks(&cfg, &[net]);
+        let r = h.run_report(&cfg, &[workload(h, name)]);
         let peak = {
             let mut d = cfg.dram.clone();
             d.channels = cfg.total_channels();
@@ -179,17 +139,20 @@ pub fn fig12_bw_timeline() -> BwTimeline {
     let n = ds2.len().max(gpt2.len());
     let at = |v: &Vec<f64>, i: usize| v.get(i).copied().unwrap_or(0.0);
     let sum: Vec<f64> = (0..n).map(|i| at(&ds2, i) + at(&gpt2, i)).collect();
+    // The paper's `y >= 0.5` argument against 4:4 splits.
     let above_half = ds2.iter().chain(&gpt2).filter(|&&u| u >= 0.5).count() as f64
         / (ds2.len() + gpt2.len()) as f64;
     let sum_above = sum.iter().filter(|&&u| u > 1.0).count() as f64 / sum.len().max(1) as f64;
-    BwTimeline {
-        window,
-        ds2,
-        gpt2,
-        sum,
-        frac_above_half: above_half,
-        frac_sum_above_peak: sum_above,
-    }
+    let rows = (0..n)
+        .step_by((n / 50).max(1))
+        .map(|i| ((i as u64 * window).to_string(), vec![at(&ds2, i), at(&gpt2, i), sum[i]]));
+    let title = format!("Fig. 12 — bandwidth utilization timeline (window = {window} cycles)");
+    let mut t = Table::new(&title, "cycle", &["ds2", "gpt2", "sum"], rows.collect());
+    t.notes = vec![
+        format!("fraction of windows with single-workload demand >= 0.5 peak: {above_half:.2}"),
+        format!("fraction of windows with summed demand > peak: {sum_above:.2}"),
+    ];
+    t
 }
 
 #[cfg(test)]
@@ -198,9 +161,11 @@ mod tests {
 
     #[test]
     fn burstiness_has_peaks_above_mean() {
-        let b = fig02_burstiness();
-        assert!(!b.series.is_empty());
-        assert!(b.peak > b.mean * 1.5, "bursty traffic: peak {} vs mean {}", b.peak, b.mean);
+        let series = ncf_request_rate(&Harness::new());
+        assert!(!series.is_empty());
+        let peak = series.iter().cloned().fold(0.0, f64::max);
+        let mean = series.iter().sum::<f64>() / series.len() as f64;
+        assert!(peak > mean * 1.5, "bursty traffic: peak {peak} vs mean {mean}");
     }
 
     #[test]

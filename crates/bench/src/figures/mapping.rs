@@ -1,5 +1,6 @@
 //! Figures 17–18: the co-runner mapping study (§4.6).
 
+use super::{prefetch, quantile_rows, Table};
 use crate::harness::Harness;
 use mnpu_engine::{FanOut, SharingLevel};
 use mnpu_metrics::{fairness, Cdf};
@@ -8,8 +9,8 @@ use mnpu_predict::{SlowdownModel, WorkloadProfile};
 
 /// Everything needed to evaluate one multiset mapping: the measured and
 /// predicted pairwise slowdown tables over the eight benchmarks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairTables {
+#[derive(Debug)]
+struct PairTables {
     n: usize,
     /// `actual[i][j]` = measured slowdown of *i* when paired with *j*.
     actual: Vec<Vec<f64>>,
@@ -21,22 +22,10 @@ impl PairTables {
     /// Simulate all 36 unordered benchmark pairs under dual-core `+DWT`
     /// (reusing the Fig. 4 cache), profile the benchmarks, and train the
     /// slowdown model on random networks.
-    pub fn build(h: &mut Harness) -> Self {
+    fn build(h: &Harness) -> Self {
         let chip = Harness::dual(SharingLevel::PlusDwt);
         let n = h.names().len();
-
-        // Fan the 36 pair simulations (and the Ideal solos they normalize
-        // against) out before the serial aggregation below.
-        let fan = FanOut::new();
-        let solo = chip.ideal_solo();
-        let mut reqs: Vec<crate::sweeps::SweepRequest> =
-            (0..n).map(|w| (solo.clone(), vec![w])).collect();
-        for i in 0..n {
-            for j in i..n {
-                reqs.push((chip.clone(), vec![i, j]));
-            }
-        }
-        crate::sweeps::run_mixes(h, &reqs, fan);
+        prefetch(h, std::slice::from_ref(&chip), &multisets(n, 2));
 
         let mut actual = vec![vec![0.0; n]; n];
         // Each pair fills the (i, j) and (j, i) cells at once, so the
@@ -50,6 +39,7 @@ impl PairTables {
             }
         }
 
+        let fan = FanOut::new();
         let profiles = fan.map(h.networks(), |net| WorkloadProfile::measure(&chip, net));
         let model = SlowdownModel::train_on_random_networks(&chip, 10, 20, 2023, fan);
         let mut predicted = vec![vec![0.0; n]; n];
@@ -62,45 +52,35 @@ impl PairTables {
     }
 
     /// Measured `(slowdown_i, slowdown_j)` of pairing benchmarks `i`, `j`.
-    pub fn actual(&self, i: usize, j: usize) -> (f64, f64) {
+    fn actual(&self, i: usize, j: usize) -> (f64, f64) {
         (self.actual[i][j], self.actual[j][i])
     }
 
     /// Predicted `(slowdown_i, slowdown_j)`.
-    pub fn predicted(&self, i: usize, j: usize) -> (f64, f64) {
+    fn predicted(&self, i: usize, j: usize) -> (f64, f64) {
         (self.predicted[i][j], self.predicted[j][i])
-    }
-
-    /// Number of benchmarks covered.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Never true; tables always cover the zoo.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 }
 
 /// Result of the mapping study over the eight-workload multisets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MappingStudy {
+#[derive(Debug)]
+struct MappingStudy {
     /// CDF of the predictor's score normalized to random assignment.
-    pub prediction: Cdf,
+    prediction: Cdf,
     /// CDF of the oracle's score normalized to random assignment.
-    pub oracle: Cdf,
+    oracle: Cdf,
     /// CDF of the worst assignment's score normalized to random.
-    pub worst: Cdf,
+    worst: Cdf,
     /// Fraction of multisets where the predictor beat random assignment.
-    pub frac_better_than_random: f64,
+    frac_better_than_random: f64,
     /// Multisets evaluated (6435 with `MNPU_FULL=1`).
-    pub sampled: usize,
+    sampled: usize,
     /// Total multisets in the full study.
-    pub total: usize,
+    total: usize,
 }
 
 fn run_study(tables: &PairTables, score: &dyn Fn(&[f64]) -> f64) -> MappingStudy {
-    let all = multisets(tables.len(), 8);
+    let all = multisets(tables.n, 8);
     let total = all.len();
     let stride = if Harness::full_sweeps() { 1 } else { 10 };
     let sample: Vec<&Vec<usize>> = all.iter().step_by(stride).collect();
@@ -129,18 +109,41 @@ fn run_study(tables: &PairTables, score: &dyn Fn(&[f64]) -> f64) -> MappingStudy
     }
 }
 
+/// The mapped system's performance: geomean speedup.
+fn performance(slowdowns: &[f64]) -> f64 {
+    let log: f64 = slowdowns.iter().map(|s| (1.0 / s).ln()).sum();
+    (log / slowdowns.len() as f64).exp()
+}
+
+/// The study's CDFs of the worst, predicted and oracle assignments, as
+/// quantile rows at four decimals.
+fn mapping_table(h: &Harness, title: &str, score: &dyn Fn(&[f64]) -> f64) -> Table {
+    let s = run_study(&PairTables::build(h), score);
+    let qs = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95];
+    let rows = quantile_rows(&qs, &[s.worst, s.prediction, s.oracle]);
+    let mut t = Table::new(title, "quantile", &["worst", "prediction", "oracle"], rows);
+    t.precision = 4;
+    t.notes = vec![
+        format!("({} of {} eight-workload multisets; MNPU_FULL=1 for all)", s.sampled, s.total),
+        format!(
+            "prediction beats random in {:.1}% of multisets",
+            s.frac_better_than_random * 100.0
+        ),
+    ];
+    t
+}
+
 /// Fig. 17: CDF of mapped-system *performance* (geomean speedup) for the
 /// prediction model vs the oracle, worst, and random assignments.
-pub fn fig17_mapping_performance(tables: &PairTables) -> MappingStudy {
-    run_study(tables, &|slowdowns| {
-        let log: f64 = slowdowns.iter().map(|s| (1.0 / s).ln()).sum();
-        (log / slowdowns.len() as f64).exp()
-    })
+pub fn fig17_mapping_performance(h: &Harness) -> Table {
+    let title = "Fig. 17 — mapping study, performance normalized to random assignment";
+    mapping_table(h, title, &performance)
 }
 
 /// Fig. 18: CDF of mapped-system *fairness* for the same four schedulers.
-pub fn fig18_mapping_fairness(tables: &PairTables) -> MappingStudy {
-    run_study(tables, &|slowdowns| fairness(slowdowns))
+pub fn fig18_mapping_fairness(h: &Harness) -> Table {
+    let title = "Fig. 18 — mapping study, fairness normalized to random assignment";
+    mapping_table(h, title, &fairness)
 }
 
 #[cfg(test)]
@@ -168,7 +171,7 @@ mod tests {
     #[test]
     fn oracle_dominates_prediction_dominates_worst() {
         let t = toy_tables();
-        let s = fig17_mapping_performance(&t);
+        let s = run_study(&t, &performance);
         for q in [0.1, 0.5, 0.9] {
             assert!(s.oracle.quantile(q) >= s.prediction.quantile(q) - 1e-9);
             assert!(s.prediction.quantile(q) >= s.worst.quantile(q) - 1e-9);
@@ -179,14 +182,14 @@ mod tests {
     #[test]
     fn correlated_predictor_beats_random_often() {
         let t = toy_tables();
-        let s = fig17_mapping_performance(&t);
+        let s = run_study(&t, &performance);
         assert!(s.frac_better_than_random > 0.4, "{}", s.frac_better_than_random);
     }
 
     #[test]
     fn fairness_study_produces_valid_cdfs() {
         let t = toy_tables();
-        let s = fig18_mapping_fairness(&t);
+        let s = run_study(&t, &fairness);
         assert_eq!(s.prediction.len(), s.oracle.len());
         assert!(s.oracle.quantile(0.5) >= 1.0 - 1e-9, "oracle at least random");
     }

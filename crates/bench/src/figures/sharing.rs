@@ -1,155 +1,86 @@
 //! Figures 4–8: the sharing-level study.
 
+use super::{mix_sweep, prefetch, quantile_rows, Metric, Table};
 use crate::harness::Harness;
-use crate::sweeps::{self, SweepRequest};
-use mnpu_engine::{FanOut, SharingLevel};
-use mnpu_metrics::{fairness, geomean, BoxStats, Cdf};
+use mnpu_engine::SharingLevel;
+use mnpu_metrics::{mean, BoxStats, Cdf};
 use mnpu_predict::mapping::multisets;
-
-/// Run every simulation the dual-core sweep needs ([`sweeps::fig04`]: all
-/// 36 mixes × 4 co-run levels, plus the 8 Ideal solos) on the fan-out,
-/// so the serial aggregation loops below only hit the cache.
-fn prefetch_dual(h: &Harness) {
-    sweeps::run_mixes(h, &sweeps::fig04(), FanOut::new());
-}
-
-/// Same for the (sampled) quad-core sweep.
-fn prefetch_quad(h: &Harness) {
-    let n = h.names().len();
-    let solo = Harness::quad(SharingLevel::Static).ideal_solo();
-    let mut reqs: Vec<SweepRequest> = (0..n).map(|w| (solo.clone(), vec![w])).collect();
-    for ws in multisets(n, 4).iter().step_by(Harness::quad_stride()) {
-        for lvl in SharingLevel::CO_RUN_LEVELS {
-            reqs.push((Harness::quad(lvl), ws.clone()));
-        }
-    }
-    sweeps::run_mixes(h, &reqs, FanOut::new());
-}
-
-/// Result of a dual-core sweep: one row per mix, one column per co-run
-/// sharing level (`Static`, `+D`, `+DW`, `+DWT`), plus the overall geomean.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DualSweep {
-    /// `(mix label, metric per sharing level)`.
-    pub mixes: Vec<(String, [f64; 4])>,
-    /// Geometric mean of each column.
-    pub overall: [f64; 4],
-}
-
-impl DualSweep {
-    fn from_rows(mixes: Vec<(String, [f64; 4])>) -> Self {
-        let overall =
-            std::array::from_fn(|i| geomean(&mixes.iter().map(|(_, v)| v[i]).collect::<Vec<_>>()));
-        DualSweep { mixes, overall }
-    }
-}
 
 /// Labels of the four co-run sharing levels, in plot order.
 pub const LEVEL_LABELS: [&str; 4] = ["Static", "+D", "+DW", "+DWT"];
 
-fn mix_label(h: &Harness, ws: &[usize]) -> String {
-    ws.iter().map(|&w| h.names()[w]).collect::<Vec<_>>().join("+")
+fn dual_levels(h: &Harness, title: &str, metric: Metric) -> Table {
+    let chips = SharingLevel::CO_RUN_LEVELS.map(Harness::dual);
+    let rows = mix_sweep(h, &chips, metric);
+    Table::new(title, "mix", &LEVEL_LABELS, rows).with_geomean()
 }
 
 /// Fig. 4: geomean speedup (vs Ideal) of every dual-core mix under each
 /// sharing level. All 36 mixes are evaluated.
-pub fn fig04_dual_performance(h: &mut Harness) -> DualSweep {
-    prefetch_dual(h);
-    let mut rows = Vec::new();
-    for ws in multisets(8, 2) {
-        let label = mix_label(h, &ws);
-        let vals = std::array::from_fn(|i| {
-            let cfg = Harness::dual(SharingLevel::CO_RUN_LEVELS[i]);
-            geomean(&h.mix_speedups(&cfg, &ws))
-        });
-        rows.push((label, vals));
-    }
-    DualSweep::from_rows(rows)
+pub fn fig04_dual_performance(h: &Harness) -> Table {
+    let title = "Fig. 4 — dual-core mix performance (speedup vs Ideal) per sharing level";
+    dual_levels(h, title, Metric::Performance)
 }
 
 /// Fig. 6: fairness (Eq. 1) of every dual-core mix under each sharing level.
-pub fn fig06_dual_fairness(h: &mut Harness) -> DualSweep {
-    prefetch_dual(h);
-    let mut rows = Vec::new();
-    for ws in multisets(8, 2) {
-        let label = mix_label(h, &ws);
-        let vals = std::array::from_fn(|i| {
-            let cfg = Harness::dual(SharingLevel::CO_RUN_LEVELS[i]);
-            let slowdowns: Vec<f64> = h.mix_speedups(&cfg, &ws).iter().map(|s| 1.0 / s).collect();
-            fairness(&slowdowns)
-        });
-        rows.push((label, vals));
-    }
-    DualSweep::from_rows(rows)
+pub fn fig06_dual_fairness(h: &Harness) -> Table {
+    dual_levels(h, "Fig. 6 — dual-core mix fairness (Eq. 1) per sharing level", Metric::Fairness)
 }
 
-/// Result of a quad-core sweep: the metric's CDF per sharing level.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuadSweep {
-    /// One CDF per level, `LEVEL_LABELS` order.
-    pub cdfs: [Cdf; 4],
-    /// Mixes actually simulated.
-    pub sampled: usize,
-    /// Mixes in the full sweep (330).
-    pub total: usize,
-}
-
-fn quad_sweep(h: &mut Harness, metric: impl Fn(&[f64]) -> f64) -> QuadSweep {
-    prefetch_quad(h);
-    let all = multisets(8, 4);
-    let total = all.len();
-    let stride = Harness::quad_stride();
-    let sample: Vec<&Vec<usize>> = all.iter().step_by(stride).collect();
-    let mut per_level: [Vec<f64>; 4] = Default::default();
-    for ws in &sample {
-        for (i, lvl) in SharingLevel::CO_RUN_LEVELS.iter().enumerate() {
-            let cfg = Harness::quad(*lvl);
-            let speedups = h.mix_speedups(&cfg, ws);
-            per_level[i].push(metric(&speedups));
-        }
-    }
-    QuadSweep { cdfs: per_level.map(Cdf::new), sampled: sample.len(), total }
+/// The metric's CDF over the (sampled) quad-core mixes at each sharing
+/// level: quantile rows and a mean row.
+fn quad_levels(h: &Harness, title: &str, metric: Metric) -> Table {
+    let all = multisets(h.names().len(), 4);
+    let sample: Vec<Vec<usize>> = all.iter().step_by(Harness::quad_stride()).cloned().collect();
+    let chips = SharingLevel::CO_RUN_LEVELS.map(Harness::quad);
+    prefetch(h, &chips, &sample);
+    let cdfs = chips.map(|chip| {
+        Cdf::new(sample.iter().map(|ws| metric.of(&h.mix_speedups(&chip, ws))).collect())
+    });
+    let mut rows = quantile_rows(&[0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0], &cdfs);
+    rows.push(("mean".into(), cdfs.iter().map(|c| mean(c.values())).collect()));
+    let mut t = Table::new(title, "quantile", &LEVEL_LABELS, rows);
+    t.notes.push(format!(
+        "({} of {} quad-core mixes; MNPU_FULL=1 for all)",
+        sample.len(),
+        all.len()
+    ));
+    t
 }
 
 /// Fig. 5: CDF of per-mix geomean speedup for the quad-core sweep
 /// (sampled by [`Harness::quad_stride`] unless `MNPU_FULL=1`).
-pub fn fig05_quad_performance_cdf(h: &mut Harness) -> QuadSweep {
-    quad_sweep(h, geomean)
+pub fn fig05_quad_performance_cdf(h: &Harness) -> Table {
+    quad_levels(h, "Fig. 5 — quad-core performance CDF per sharing level", Metric::Performance)
 }
 
 /// Fig. 7: CDF of per-mix fairness for the quad-core sweep.
-pub fn fig07_quad_fairness_cdf(h: &mut Harness) -> QuadSweep {
-    quad_sweep(h, |speedups| {
-        let slowdowns: Vec<f64> = speedups.iter().map(|s| 1.0 / s).collect();
-        fairness(&slowdowns)
-    })
+pub fn fig07_quad_fairness_cdf(h: &Harness) -> Table {
+    quad_levels(h, "Fig. 7 — quad-core fairness CDF per sharing level", Metric::Fairness)
 }
 
-/// Fig. 8: each workload's speedup distribution under `+DWT` across all
-/// eight possible dual-core co-runners.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sensitivity {
-    /// `(workload, five-number summary of its speedups)`.
-    pub per_workload: Vec<(String, BoxStats)>,
-}
-
-/// Compute Fig. 8.
-pub fn fig08_sensitivity(h: &mut Harness) -> Sensitivity {
-    let cfg = Harness::dual(SharingLevel::PlusDwt);
+/// Fig. 8: each workload's speedup distribution (five-number summary and
+/// range) under `+DWT` across all eight possible dual-core co-runners.
+pub fn fig08_sensitivity(h: &Harness) -> Table {
+    let chip = Harness::dual(SharingLevel::PlusDwt);
     let n = h.names().len();
-    let mut per_workload = Vec::new();
-    for w in 0..n {
-        let mut speedups = Vec::new();
-        for co in 0..n {
-            // Keep the canonical (sorted) mix so cache entries are shared
-            // with Fig. 4; read the position of `w` in it.
-            let ws = if w <= co { vec![w, co] } else { vec![co, w] };
-            let pos = if w <= co { 0 } else { 1 };
-            speedups.push(h.mix_speedups(&cfg, &ws)[pos]);
-        }
-        per_workload.push((h.names()[w].to_string(), BoxStats::from_sample(&speedups)));
-    }
-    Sensitivity { per_workload }
+    prefetch(h, std::slice::from_ref(&chip), &multisets(n, 2));
+    let rows = (0..n)
+        .map(|w| {
+            let speedups: Vec<f64> = (0..n)
+                .map(|co| {
+                    // The canonical (sorted) mix shares its cache entry
+                    // with Fig. 4; read the position of `w` in it.
+                    let (ws, pos) = if w <= co { ([w, co], 0) } else { ([co, w], 1) };
+                    h.mix_speedups(&chip, &ws)[pos]
+                })
+                .collect();
+            let b = BoxStats::from_sample(&speedups);
+            (h.names()[w].to_string(), vec![b.min, b.q1, b.median, b.q3, b.max, b.range()])
+        })
+        .collect();
+    let title = "Fig. 8 — per-workload +DWT speedup distribution over co-runners";
+    Table::new(title, "wl", &["min", "q1", "median", "q3", "max", "range"], rows)
 }
 
 #[cfg(test)]
@@ -159,16 +90,5 @@ mod tests {
     #[test]
     fn level_labels_match_paper() {
         assert_eq!(LEVEL_LABELS, ["Static", "+D", "+DW", "+DWT"]);
-    }
-
-    #[test]
-    fn dual_sweep_overall_is_columnwise_geomean() {
-        let s = DualSweep::from_rows(vec![
-            ("a".into(), [1.0, 2.0, 3.0, 4.0]),
-            ("b".into(), [4.0, 2.0, 3.0, 1.0]),
-        ]);
-        assert!((s.overall[0] - 2.0).abs() < 1e-12);
-        assert!((s.overall[1] - 2.0).abs() < 1e-12);
-        assert!((s.overall[3] - 2.0).abs() < 1e-12);
     }
 }

@@ -95,7 +95,7 @@ impl CacheState {
 /// use mnpu_bench::Harness;
 /// use mnpu_engine::SharingLevel;
 ///
-/// let mut h = Harness::new();
+/// let h = Harness::new();
 /// let cycles = h.run_mix(&Harness::dual(SharingLevel::PlusDwt), &[0, 1]);
 /// assert_eq!(cycles.len(), 2);
 /// ```
@@ -330,24 +330,6 @@ impl Harness {
     }
 }
 
-/// Render rows of `(label, values)` as an aligned text table.
-pub fn format_table(header: &[&str], rows: &[(String, Vec<f64>)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:<14}", header.first().copied().unwrap_or("")));
-    for h in &header[1..] {
-        out.push_str(&format!("{h:>10}"));
-    }
-    out.push('\n');
-    for (label, vals) in rows {
-        out.push_str(&format!("{label:<14}"));
-        for v in vals {
-            out.push_str(&format!("{v:>10.3}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,12 +377,5 @@ mod tests {
         for s in h.mix_speedups(&cfg, &[6, 6]) {
             assert!(s > 0.0 && s <= 1.05, "{s}");
         }
-    }
-
-    #[test]
-    fn table_formatting() {
-        let t = format_table(&["mix", "A", "B"], &[("x".into(), vec![1.0, 2.5])]);
-        assert!(t.contains("mix"));
-        assert!(t.contains("2.500"));
     }
 }

@@ -1,8 +1,11 @@
 //! Experiment harness regenerating every figure of the mNPUsim paper.
 //!
-//! Each `figNN_*` bench target (plain-harness binaries under `benches/`)
-//! calls one function from [`figures`] and prints the same rows/series the
-//! paper plots. The [`harness`] module provides the shared machinery:
+//! Each figure has one markdown table ([`figures::Table`]): its `figNN_*`
+//! bench target (a plain-harness binary under `benches/`) calls one
+//! function from [`figures`] and prints that table, and the `mnpu_report`
+//! binary writes the same tables by iterating [`figures::FIGURES`]. Every
+//! figure that reads cycles runs its simulations through [`run_mixes`]'s
+//! fan-out first. The [`harness`] module provides the shared machinery:
 //! the workload zoo at the active scale, Ideal baselines, mix enumeration
 //! and a persistent run cache (`target/mnpu_run_cache.tsv`) so that figures
 //! sharing sweeps (e.g. Figs. 4 and 6 both need the 36-mix dual sweep) don't

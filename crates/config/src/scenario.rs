@@ -211,7 +211,7 @@ fn parse_job(file: &str, line: usize, value: &str) -> Result<JobSpec, ConfigErro
     let Some(name) = tokens.next() else {
         return Err(ConfigError::parse(file, line, "empty `job` line"));
     };
-    if zoo::by_name(name, Scale::Bench).is_none() {
+    if !zoo::MODEL_NAMES.contains(&name) {
         return Err(ConfigError::UnknownWorkload { file: file.into(), line, name: name.into() });
     }
     let mut arrival = None;

@@ -500,26 +500,6 @@ impl<P: Probe> Simulation<P> {
         self.pumped = false;
     }
 
-    /// Replace a free core's binding with the vacant workload, releasing
-    /// the old trace's memory. A vacant core is already finished, so the
-    /// event loop skips it everywhere and it contributes no events — an
-    /// idle core costs nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Simulation::attach`].
-    pub fn detach(&mut self, core: usize) {
-        let rt = &self.cores[core];
-        assert!(rt.finished(), "detach of a busy core");
-        assert!(self.finish_reported[core], "detach before the finish was observed");
-        assert_eq!(rt.outstanding, 0, "detach with transactions in flight");
-        if let Some(mmu) = &mut self.mmu {
-            mmu.flush_core(core);
-            self.mirror_flush_core(core);
-        }
-        self.cores[core] = CoreRt::vacant();
-    }
-
     /// The current global (DRAM-clock) cycle.
     pub fn now(&self) -> u64 {
         self.now

@@ -388,7 +388,7 @@ impl<'s, P: Probe> ServeSession<'s, P> {
         // Rebind the engine's traces, then lay the captured state on top.
         for (core, name) in bound.iter().enumerate() {
             if let Some(name) = name {
-                if zoo::by_name(name, spec.scale).is_none() {
+                if !zoo::MODEL_NAMES.contains(&name.as_str()) {
                     return Err(SnapError::BadValue("bound network unknown to the scenario scale"));
                 }
                 let trace = Self::trace_for(&mut s.traces, spec, name, core);

@@ -24,6 +24,7 @@ use mnpu_engine::{FanOut, MemoryModel, ProbeMode, SharingLevel, Simulation, Syst
 use mnpu_model::randnet::{generate, RandNetConfig};
 use mnpu_model::{Network, Scale};
 use mnpu_sched::serve;
+use mnpu_snapshot::json::escape;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -500,22 +501,6 @@ fn shrink(case: &FuzzCase, oracle: &'static str, budget: usize) -> (FuzzCase, Ve
     (current, applied)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serialize a minimized failure to the repro artifact JSON. Hand-rolled
 /// (the workspace carries no serde); the format is documented in
 /// EXPERIMENTS.md.
@@ -528,7 +513,7 @@ pub fn repro_json(seed: u64, failure: &FuzzFailure, case: &FuzzCase) -> String {
     s.push_str("  \"violations\": [\n");
     for (i, v) in failure.violations.iter().enumerate() {
         let comma = if i + 1 < failure.violations.len() { "," } else { "" };
-        s.push_str(&format!("    \"{}\"{comma}\n", json_escape(&v.to_string())));
+        s.push_str(&format!("    \"{}\"{comma}\n", escape(&v.to_string())));
     }
     s.push_str("  ],\n");
     s.push_str("  \"shrink_steps\": [");
@@ -588,7 +573,7 @@ pub fn repro_json(seed: u64, failure: &FuzzFailure, case: &FuzzCase) -> String {
         let sum = n.summary();
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"seed\": {sd}, \"layers\": {}, \"macs\": {}}}{comma}\n",
-            json_escape(n.name()),
+            escape(n.name()),
             n.num_layers(),
             sum.total_macs
         ));

@@ -19,6 +19,7 @@
 //! resources (jobs pinned to distinct cores, no dynamic sharing), delaying
 //! one job's arrival never decreases any *other* job's completion cycle.
 
+use crate::metamorphic::isolation_slack;
 use crate::oracle::Violation;
 use mnpu_config::{ArrivalSpec, PolicySpec, ScenarioSpec};
 use mnpu_sched::{arrivals, serve, ServeReport};
@@ -135,14 +136,6 @@ pub fn check_serve(spec: &ScenarioSpec, report: &ServeReport) -> Vec<Violation> 
         });
     }
     v
-}
-
-/// Event-granularity tolerance for paired serve runs: stalled issues retry
-/// at *global* event times, so even fully private resources leak a few
-/// cycles of timing jitter between runs with different event sets. Same
-/// shape as the batch isolation oracle's slack: 1% + a small constant.
-fn isolation_slack(base: u64) -> u64 {
-    base / 100 + 32
 }
 
 /// Metamorphic law: delaying one job's arrival never *decreases* any other
