@@ -17,7 +17,10 @@
 //! counters, histograms, stall breakdown and epoch series the probe
 //! aggregates from engine and DRAM events alike. A sixth swaps the DRAM
 //! model for the fixed-latency ideal memory, pinning that backend's
-//! completion order and its one pseudo-channel's statistics.
+//! completion order and its one pseudo-channel's statistics. Three more
+//! pin the other page-table-walker organizations on the same mix: private
+//! walkers (`Static`), an unequal static split under `+D`, and a bounded
+//! share of the shared pool under `+DW`.
 //!
 //! Regenerate intentionally (after a *semantic* model change, never for
 //! an optimization) with:
@@ -108,4 +111,24 @@ fn quad_mixed_stats_matches_golden_fixture() {
 fn quad_ideal_memory_matches_golden_fixture() {
     let cfg = golden_config().with_ideal_memory(60);
     check_fixture("quad_golden_ideal.json", &golden_report(&cfg));
+}
+
+#[test]
+fn quad_static_walkers_match_golden_fixture() {
+    let cfg = SystemConfig { sharing: SharingLevel::Static, ..golden_config() };
+    check_fixture("quad_golden_static.json", &golden_report(&cfg));
+}
+
+#[test]
+fn quad_partitioned_walkers_match_golden_fixture() {
+    let cfg = SystemConfig { sharing: SharingLevel::PlusD, ..golden_config() }
+        .with_ptw_partition(vec![1, 3, 2, 2]);
+    check_fixture("quad_golden_ptw_partition.json", &golden_report(&cfg));
+}
+
+#[test]
+fn quad_bounded_walkers_match_golden_fixture() {
+    let cfg = SystemConfig { sharing: SharingLevel::PlusDw, ..golden_config() }
+        .with_ptw_bounds(vec![1, 0, 1, 0], vec![4, 8, 4, 8]);
+    check_fixture("quad_golden_ptw_bounds.json", &golden_report(&cfg));
 }

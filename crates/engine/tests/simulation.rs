@@ -380,9 +380,31 @@ fn equal_tight_bounds_match_static_partition_semantics() {
     let cfg = bench_cfg(2, SharingLevel::PlusDw).with_ptw_bounds(vec![2, 2], vec![2, 2]);
     let bounded = Simulation::execute_networks(&cfg, &nets);
     let part = Simulation::execute_networks(&bench_cfg(2, SharingLevel::PlusD), &nets);
-    for (b, p) in bounded.cores.iter().zip(&part.cores) {
-        let ratio = b.cycles as f64 / p.cycles as f64;
-        assert!((0.95..1.05).contains(&ratio), "bounded(2,2)≈private(2): {ratio}");
+    assert_eq!(bounded.to_json(), part.to_json(), "bounded(2,2) == private(2)");
+}
+
+#[test]
+fn over_sum_ptw_partition_runs_the_walkers_it_names() {
+    // A partition is an explicit walker count per core, not a split of the
+    // chip's `ptws_per_core * cores`: [8, 8] on a 2-walker-per-core chip
+    // runs 16 walkers, exactly like 8 private walkers per core.
+    let nets = [zoo::dlrm(Scale::Bench), zoo::dlrm(Scale::Bench)];
+    let over = bench_cfg(2, SharingLevel::Static).with_ptw_partition(vec![8, 8]);
+    assert!(over.validate().is_ok());
+    let over = Simulation::execute_networks(&over, &nets);
+    let mut eight = bench_cfg(2, SharingLevel::Static);
+    eight.mmu.ptws_per_core = 8;
+    assert_eq!(over.to_json(), Simulation::execute_networks(&eight, &nets).to_json());
+    let two = bench_cfg(2, SharingLevel::Static).with_ptw_partition(vec![2, 2]);
+    let two = Simulation::execute_networks(&two, &nets);
+    for (o, t) in over.cores.iter().zip(&two.cores) {
+        assert!(
+            o.mmu.walker_stalls < t.mmu.walker_stalls,
+            "{} vs {}",
+            o.mmu.walker_stalls,
+            t.mmu.walker_stalls
+        );
+        assert!(o.cycles < t.cycles, "16 walkers must beat 4: {} vs {}", o.cycles, t.cycles);
     }
 }
 
