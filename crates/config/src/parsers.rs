@@ -185,12 +185,8 @@ pub fn parse_npumem(text: &str) -> Result<MmuConfig, ConfigError> {
         tlb_assoc: kv.u64_or("tlb_assoc", 8)?,
         ptws_per_core: kv.u64_req("ptw")? as usize,
         page_bytes: kv.u64_or("page_bytes", 4096)?,
-        tlb_shared: false,
-        ptw_shared: false,
-        ptw_partition: None,
         pt_region_bytes: kv.u64_or("pt_region_bytes", 16 << 20)?,
         coalesce_walks: kv.bool_or("coalesce_walks", true)?,
-        ptw_bounds: None,
     })
 }
 

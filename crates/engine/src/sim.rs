@@ -15,7 +15,7 @@ use crate::report::{CoreReport, LogEvent, LogKind, RunReport};
 use crate::stage::Stage;
 use crate::system::SystemConfig;
 use mnpu_dram::{Completion, TRANSACTION_BYTES};
-use mnpu_mmu::{Mmu, WalkStep};
+use mnpu_mmu::{Mmu, WalkStep, WalkerPool};
 use mnpu_model::Network;
 use mnpu_probe::{CoreState, Event, NullProbe, Phase, Probe};
 use mnpu_systolic::WorkloadTrace;
@@ -139,20 +139,24 @@ pub enum Advance {
     Drained,
 }
 
-/// Build the MMU for `cfg` (when translation is enabled), deriving the
-/// sharing-level flags and per-core page-table bases exactly as the
-/// simulation constructor does. Shadow MMUs for warm-start prefix sharing
+/// Build the MMU for `cfg` (when translation is enabled), resolving the
+/// sharing level into one [`WalkerPool`] and per-core page-table bases.
+/// Shadow MMUs for warm-start prefix sharing
 /// ([`Simulation::add_shadow_config`]) go through this same path so a
 /// shadow is indistinguishable from the MMU a native run would build.
 pub(crate) fn build_mmu(cfg: &SystemConfig, page_tables: &[PageTable]) -> Option<Mmu> {
     cfg.translation.then(|| {
-        let mut m = cfg.mmu.clone();
-        m.tlb_shared = cfg.sharing.shares_tlb();
-        m.ptw_shared = cfg.sharing.shares_ptw();
-        m.ptw_partition = if m.ptw_shared { None } else { cfg.ptw_partition.clone() };
-        m.ptw_bounds = cfg.ptw_bounds.clone();
+        let (n, pooled) = (cfg.cores, cfg.mmu.ptws_per_core * cfg.cores);
+        let walkers = match (&cfg.ptw_bounds, cfg.ptw_partition.clone()) {
+            (Some(b), _) => WalkerPool::new(pooled, b.min.clone(), b.max.clone()),
+            _ if cfg.sharing.shares_ptw() => WalkerPool::new(pooled, vec![0; n], vec![pooled; n]),
+            (None, own) => {
+                let own = own.unwrap_or_else(|| vec![cfg.mmu.ptws_per_core; n]);
+                WalkerPool::new(own.iter().sum(), own.clone(), own)
+            }
+        };
         let bases: Vec<u64> = page_tables.iter().map(PageTable::pt_region_base).collect();
-        Mmu::new(m, cfg.cores, &bases)
+        Mmu::new(cfg.mmu.clone(), cfg.sharing.shares_tlb(), walkers, &bases)
     })
 }
 

@@ -86,7 +86,7 @@ pub enum ConfigError {
     NoChannels,
     /// The derived [`DramConfig`] is invalid.
     InvalidDram(String),
-    /// The derived [`MmuConfig`] is invalid.
+    /// The [`MmuConfig`], walker partition or PTW bounds are invalid.
     InvalidMmu(String),
     /// The NoC configuration is invalid.
     InvalidNoc(String),
@@ -98,7 +98,7 @@ pub enum ConfigError {
     },
     /// A partition's length disagrees with the core count.
     PartitionLength {
-        /// `"channel"` or `"ptw"`.
+        /// `"channel"` (a walker partition's is [`ConfigError::InvalidMmu`]).
         resource: &'static str,
         /// Expected length (the core count).
         expected: usize,
@@ -208,8 +208,8 @@ pub struct SystemConfig {
     /// the sharing level does not share DRAM; counts must sum to
     /// [`SystemConfig::total_channels`].
     pub channel_partition: Option<Vec<usize>>,
-    /// Unequal walker split for the Figs. 13/14 sweeps (forwarded to
-    /// [`MmuConfig::ptw_partition`]).
+    /// Explicit per-core walker counts for the Figs. 13/14 sweeps, on a level
+    /// that does not share walkers (they need not sum to the chip's walkers).
     pub ptw_partition: Option<Vec<usize>>,
     /// `false` disables address translation entirely (the paper removes it
     /// to isolate bandwidth effects in §4.3).
@@ -396,9 +396,20 @@ impl SystemConfig {
         let mut dram = self.dram.clone();
         dram.channels = self.total_channels();
         dram.validate().map_err(ConfigError::InvalidDram)?;
-        let mut mmu = self.mmu.clone();
-        mmu.ptw_partition = self.ptw_partition.clone();
-        mmu.validate(self.cores).map_err(ConfigError::InvalidMmu)?;
+        self.mmu.validate().map_err(ConfigError::InvalidMmu)?;
+        let invalid_mmu = |reason: &str| Err(ConfigError::InvalidMmu(reason.into()));
+        let pooled = self.mmu.ptws_per_core * self.cores;
+        if self.ptw_partition.as_ref().map_or(pooled, |p| p.iter().sum()) == 0 {
+            return invalid_mmu("at least one page-table walker required");
+        }
+        if let Some(p) = &self.ptw_partition {
+            if p.len() != self.cores {
+                return invalid_mmu("ptw_partition length must equal core count");
+            }
+            if p.contains(&0) {
+                return invalid_mmu("every core needs at least one walker");
+            }
+        }
         if let Some(p) = &self.channel_partition {
             if self.sharing.shares_dram() {
                 return Err(ConfigError::PartitionWithSharing { resource: "channel" });
@@ -420,25 +431,25 @@ impl SystemConfig {
                 return Err(ConfigError::PartitionZero);
             }
         }
-        if let Some(p) = &self.ptw_partition {
-            if self.sharing.shares_ptw() {
-                return Err(ConfigError::PartitionWithSharing { resource: "ptw" });
-            }
-            if p.len() != self.cores {
-                return Err(ConfigError::PartitionLength {
-                    resource: "ptw",
-                    expected: self.cores,
-                    got: p.len(),
-                });
-            }
-        }
-        if self.ptw_bounds.is_some() && !self.sharing.shares_ptw() {
-            return Err(ConfigError::BoundsWithoutSharedPool);
+        if self.ptw_partition.is_some() && self.sharing.shares_ptw() {
+            return Err(ConfigError::PartitionWithSharing { resource: "ptw" });
         }
         if let Some(b) = &self.ptw_bounds {
-            let mut m = self.mmu.clone();
-            m.ptw_bounds = Some(b.clone());
-            m.validate(self.cores).map_err(ConfigError::InvalidMmu)?;
+            if !self.sharing.shares_ptw() {
+                return Err(ConfigError::BoundsWithoutSharedPool);
+            }
+            if b.min.len() != self.cores || b.max.len() != self.cores {
+                return invalid_mmu("ptw_bounds vectors must have one entry per core");
+            }
+            if b.min.iter().zip(&b.max).any(|(lo, hi)| lo > hi) {
+                return invalid_mmu("ptw_bounds min must not exceed max");
+            }
+            if b.max.iter().any(|&hi| hi > pooled) {
+                return invalid_mmu("ptw_bounds max must not exceed the pool");
+            }
+            if b.min.iter().sum::<usize>() > pooled {
+                return invalid_mmu("ptw_bounds minimums oversubscribe the pool");
+            }
         }
         if !self.start_cycles.is_empty() && self.start_cycles.len() != self.cores {
             return Err(ConfigError::StartCyclesLength {
@@ -480,7 +491,7 @@ mod tests {
         let mut dram = c.dram.clone();
         dram.channels = c.total_channels();
         assert_eq!(dram.peak_gbps(), 256.0);
-        assert_eq!(c.mmu.total_walkers(2), 16);
+        assert_eq!(c.mmu.ptws_per_core * c.cores, 16);
     }
 
     #[test]
@@ -518,5 +529,7 @@ mod tests {
         assert!(c.validate().is_err(), "zero channels");
         let c = SystemConfig::bench(2, SharingLevel::Static).with_ptw_partition(vec![8]);
         assert!(c.validate().is_err(), "length mismatch");
+        let c = SystemConfig::bench(2, SharingLevel::Static).with_ptw_partition(vec![0, 16]);
+        assert!(c.validate().is_err(), "zero-walker core");
     }
 }

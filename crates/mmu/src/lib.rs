@@ -7,9 +7,11 @@
 //!
 //! * a set-associative, LRU [`Tlb`] per core — or one shared TLB whose
 //!   capacity is the sum of the per-core capacities (the paper's `+DWT`);
-//! * a pool of page-table walkers ([`WalkerPool`]) that is private per core,
-//!   statically partitioned in arbitrary ratios (Figs. 13/14), or
-//!   dynamically shared (`+DW`);
+//! * one pool of page-table walkers ([`WalkerPool`]) under one rule: core
+//!   *c* is guaranteed `min[c]` walkers and may hold at most `max[c]`.
+//!   Private walkers and static partitions (Figs. 13/14) are `min = max`,
+//!   the dynamically shared pool (`+DW`) is `min = 0, max = total`, and
+//!   the original's PTW bounds lie in between;
 //! * multi-level radix walks whose per-level accesses are real DRAM reads
 //!   (issued by the engine), so walk bandwidth and data bandwidth contend —
 //!   4 levels for 4 KB pages, 3 for 64 KB, 2 for 1 MB (the ARM64-style page
@@ -24,9 +26,11 @@
 //! # Example
 //!
 //! ```
-//! use mnpu_mmu::{Mmu, MmuConfig, WalkStart, WalkStep};
+//! use mnpu_mmu::{Mmu, MmuConfig, WalkStart, WalkStep, WalkerPool};
 //!
-//! let mut mmu = Mmu::new(MmuConfig::neummu(4096), 2, &[0x1000_0000, 0x2000_0000]);
+//! // Two cores with private TLBs and 8 private walkers each.
+//! let walkers = WalkerPool::new(16, vec![8, 8], vec![8, 8]);
+//! let mut mmu = Mmu::new(MmuConfig::neummu(4096), false, walkers, &[0x1000_0000, 0x2000_0000]);
 //! let vpn = 42;
 //! assert!(!mmu.lookup(0, vpn)); // cold miss
 //! let WalkStart::Started { walk, pt_addr } = mmu.start_or_join_walk(0, vpn) else {

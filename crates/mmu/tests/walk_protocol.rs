@@ -1,8 +1,9 @@
 //! Protocol-level property tests: arbitrary interleavings of lookups,
 //! walk starts and walk advances never leak walkers, never double-fill,
-//! and keep statistics consistent.
+//! and keep statistics consistent; and the walker pool grants exactly what
+//! its one rule allows.
 
-use mnpu_mmu::{Mmu, MmuConfig, WalkId, WalkStart, WalkStep};
+use mnpu_mmu::{Mmu, MmuConfig, WalkId, WalkStart, WalkStep, WalkerPool};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -25,9 +26,9 @@ proptest! {
 
     #[test]
     fn prop_walker_conservation(ops in proptest::collection::vec(arb_op(2), 1..200)) {
-        let cfg = MmuConfig { ptw_shared: true, ptws_per_core: 2, ..MmuConfig::bench(4096) };
-        let total = cfg.total_walkers(2);
-        let mut mmu = Mmu::new(cfg, 2, &[0, 1 << 32]);
+        let total = 4;
+        let shared = WalkerPool::new(total, vec![0, 0], vec![total, total]);
+        let mut mmu = Mmu::new(MmuConfig::bench(4096), false, shared, &[0, 1 << 32]);
         let mut in_flight: Vec<WalkId> = Vec::new();
         for op in ops {
             match op {
@@ -64,7 +65,8 @@ proptest! {
 
     #[test]
     fn prop_completed_walks_hit_afterwards(vpns in proptest::collection::vec(0u64..1024, 1..32)) {
-        let mut mmu = Mmu::new(MmuConfig::neummu(65536), 1, &[0]);
+        let private = WalkerPool::new(8, vec![8], vec![8]);
+        let mut mmu = Mmu::new(MmuConfig::neummu(65536), false, private, &[0]);
         for &v in &vpns {
             match mmu.start_or_join_walk(0, v) {
                 WalkStart::Started { walk, .. } => loop {
@@ -82,7 +84,8 @@ proptest! {
 
     #[test]
     fn prop_stats_counters_consistent(vpns in proptest::collection::vec(0u64..16, 1..100)) {
-        let mut mmu = Mmu::new(MmuConfig::bench(4096), 1, &[0]);
+        let private = WalkerPool::new(2, vec![2], vec![2]);
+        let mut mmu = Mmu::new(MmuConfig::bench(4096), false, private, &[0]);
         for &v in &vpns {
             if !mmu.lookup(0, v) {
                 if let WalkStart::Started { walk, .. } = mmu.start_or_join_walk(0, v) {
@@ -98,5 +101,46 @@ proptest! {
         prop_assert_eq!(s.tlb_hits + s.tlb_misses, vpns.len() as u64);
         prop_assert!(s.walks <= s.tlb_misses);
         prop_assert!(s.walks >= 1);
+    }
+}
+
+/// The pool grants exactly what the rule it documents grants when every
+/// other core's unused reservation is summed afresh on each call: a core
+/// gets a walker while it is under its maximum and the walkers neither
+/// busy nor reserved for another core's minimum are not exhausted.
+#[test]
+fn pool_matches_the_summed_reservation_rule() {
+    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = |n: usize| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed % n as u64) as usize
+    };
+    for _ in 0..200 {
+        let cores = 1 + next(4);
+        let total = cores + next(8);
+        let mut min = vec![0; cores];
+        for _ in 0..next(total + 1) {
+            min[next(cores)] += 1;
+        }
+        let max: Vec<usize> = min.iter().map(|&lo| (lo + next(total + 1)).min(total)).collect();
+        let mut pool = WalkerPool::new(total, min.clone(), max.clone());
+        let mut held = vec![0usize; cores];
+        for _ in 0..64 {
+            let c = next(cores);
+            let reserved: usize =
+                (0..cores).filter(|&o| o != c).map(|o| min[o].saturating_sub(held[o])).sum();
+            let room = total.saturating_sub(held.iter().sum::<usize>() + reserved);
+            assert_eq!(pool.available(c), room.min(max[c] - held[c]));
+            if next(3) == 0 && held[c] > 0 {
+                pool.release(c);
+                held[c] -= 1;
+            } else {
+                let grant = room > 0 && held[c] < max[c];
+                assert_eq!(pool.try_acquire(c), grant);
+                held[c] += usize::from(grant);
+            }
+        }
     }
 }

@@ -39,7 +39,7 @@ use std::fmt;
 
 /// Current snapshot format version. Bump on any change to the payload
 /// layout of *any* component; old snapshots are then rejected loudly.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Magic bytes opening the binary framing.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MNPS";
