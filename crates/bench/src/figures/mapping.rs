@@ -4,8 +4,9 @@ use super::{prefetch, quantile_rows, Table};
 use crate::harness::Harness;
 use mnpu_engine::{FanOut, SharingLevel};
 use mnpu_metrics::{fairness, Cdf};
+use mnpu_model::Scale;
 use mnpu_predict::mapping::{multisets, study_multiset};
-use mnpu_predict::{SlowdownModel, WorkloadProfile};
+use mnpu_predict::PredictorMemo;
 
 /// Everything needed to evaluate one multiset mapping: the measured and
 /// predicted pairwise slowdown tables over the eight benchmarks.
@@ -21,7 +22,9 @@ struct PairTables {
 impl PairTables {
     /// Simulate all 36 unordered benchmark pairs under dual-core `+DWT`
     /// (reusing the Fig. 4 cache), profile the benchmarks, and train the
-    /// slowdown model on random networks.
+    /// slowdown model on random networks. Profiles and model come from
+    /// [`PredictorMemo::global`], so Figs. 17 and 18 in one process train
+    /// once.
     fn build(h: &Harness) -> Self {
         let chip = Harness::dual(SharingLevel::PlusDwt);
         let n = h.names().len();
@@ -39,9 +42,9 @@ impl PairTables {
             }
         }
 
-        let fan = FanOut::new();
-        let profiles = fan.map(h.networks(), |net| WorkloadProfile::measure(&chip, net));
-        let model = SlowdownModel::train_on_random_networks(&chip, 10, 20, 2023, fan);
+        let (memo, fan) = (PredictorMemo::global(), FanOut::new());
+        let profiles = memo.profiles(&chip, Scale::Bench, &h.names(), fan);
+        let model = memo.model(&chip, 10, 20, 2023, fan);
         let mut predicted = vec![vec![0.0; n]; n];
         for i in 0..n {
             for j in 0..n {

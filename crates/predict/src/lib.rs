@@ -16,14 +16,19 @@
 //!
 //! The regression itself is an ordinary least-squares fit with a small ridge
 //! term ([`linreg::LinearModel`]) — no external linear-algebra crates.
+//! Profiles and trained models are memoized per process
+//! ([`PredictorMemo`]), so the serve policy and the mapping study each
+//! simulate a given set-up once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod linreg;
 pub mod mapping;
+mod memo;
 mod model;
 mod profile;
 
+pub use memo::PredictorMemo;
 pub use model::{SlowdownModel, TrainingSample};
 pub use profile::WorkloadProfile;

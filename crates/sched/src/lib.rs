@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 mod arrival;
-mod memo;
 mod policy;
 mod report;
 mod server;
