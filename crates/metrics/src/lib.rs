@@ -308,24 +308,21 @@ pub fn throughput_per_mcycle(jobs: usize, makespan: u64) -> f64 {
 /// (1000-cycle window over memory-request counts).
 ///
 /// Output has the same length as the input; prefix positions average over
-/// the elements seen so far.
+/// the elements seen so far. Each window is summed on its own, so a window
+/// of zeros averages to exactly zero (a running sum would carry the
+/// rounding residue of the values that left it).
 ///
 /// # Panics
 ///
 /// Panics if `window` is zero.
 pub fn moving_average(xs: &[f64], window: usize) -> Vec<f64> {
     assert!(window > 0, "window must be positive");
-    let mut out = Vec::with_capacity(xs.len());
-    let mut sum = 0.0;
-    for i in 0..xs.len() {
-        sum += xs[i];
-        if i >= window {
-            sum -= xs[i - window];
-        }
-        let n = (i + 1).min(window);
-        out.push(sum / n as f64);
-    }
-    out
+    (0..xs.len())
+        .map(|i| {
+            let w = &xs[(i + 1).saturating_sub(window)..=i];
+            w.iter().sum::<f64>() / w.len() as f64
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -432,6 +429,12 @@ mod tests {
         let peak = ma.iter().cloned().fold(f64::MIN, f64::max);
         assert!((peak - 2.0).abs() < 1e-12, "spike spread over window");
         assert_eq!(ma.len(), xs.len());
+    }
+
+    #[test]
+    fn moving_average_of_an_idle_window_is_exactly_zero() {
+        let ma = moving_average(&[0.1, 0.2, 0.3, 0.0, 0.0], 2);
+        assert_eq!(ma[4].to_bits(), 0.0f64.to_bits(), "{ma:?}");
     }
 
     #[test]
