@@ -14,6 +14,7 @@
 //! in [`ServiceStats`]. The status `state`, the flight ring, the progress
 //! phase and every `/metrics` counter are read off what it wrote.
 
+use crate::wire::WireJob;
 use mnpu_metrics::ExpHistogram;
 use mnpu_snapshot::json;
 use mnpu_trace::{JobPhase, TraceHandle};
@@ -147,8 +148,12 @@ impl ServiceStats {
 pub struct JobRecord {
     /// The numeric id (rendered as `job-<id>` on the wire).
     pub id: u64,
-    /// The submission body, verbatim.
+    /// The submission body, verbatim (the result cache's key, and what a
+    /// drain file holds).
     pub body: String,
+    /// The body as parsed at admission, until a worker takes it at
+    /// dispatch.
+    pub parsed: Option<WireJob>,
     /// Set by `DELETE`; a running job observes it at its next poll.
     pub cancel_requested: bool,
     /// `true` when the submission carried a `resume` checkpoint.
@@ -271,6 +276,7 @@ impl JobTable {
         let job = self.jobs.entry(id).or_insert(JobRecord {
             id,
             body,
+            parsed: None,
             cancel_requested: false,
             resumed,
             budget_ms,

@@ -38,7 +38,7 @@ use mnpusim::{RunControl, RunOutcome, RunProgress};
 use crate::http::{self, Request};
 use crate::jobs::{JobTable, ServiceStats};
 use crate::queue::{Admission, AdmissionQueue};
-use crate::wire::{self, ExecPlan};
+use crate::wire::{self, ExecPlan, WireJob};
 
 /// How a daemon instance is shaped.
 #[derive(Debug, Clone)]
@@ -278,7 +278,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 /// Pull jobs off the queue and execute them until a drain begins.
 fn worker_loop(inner: &Arc<Inner>, worker: usize) {
     loop {
-        let (id, body, deadline, resumed, trace) = {
+        let (id, body, job, deadline, trace) = {
             let mut guard = inner.state.lock().unwrap();
             loop {
                 if guard.draining {
@@ -299,13 +299,14 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
                         job.enter(phase, inner.now_ms(), &mut st.stats);
                         let deadline =
                             job.budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-                        break (id, job.body.clone(), deadline, job.resumed, trace);
+                        let parsed = job.parsed.take().expect("admission keeps the parsed job");
+                        break (id, job.body.clone(), parsed, deadline, trace);
                     }
                 }
                 guard = inner.cv.wait(guard).unwrap();
             }
         };
-        execute(inner, id, &body, deadline, resumed, &trace);
+        execute(inner, id, &body, job, deadline, &trace);
     }
 }
 
@@ -343,25 +344,17 @@ fn execute(
     inner: &Arc<Inner>,
     id: u64,
     body: &str,
+    job: WireJob,
     deadline: Option<Instant>,
-    resumed: bool,
     trace: &TraceHandle,
 ) {
     let busy = Instant::now();
     let busy_ms = |t0: Instant| t0.elapsed().as_millis() as u64;
-    // Re-derive the plan from the stored body; submission already
-    // validated it, so failures here are real execution errors.
-    let job = match wire::parse_job(body) {
-        Ok(j) => j,
-        Err(e) => {
-            return finish(inner, id, ExecOutcome::Error(e.message()), None, false, busy_ms(busy))
-        }
-    };
     let fault = job.fault;
 
     // Result cache: deterministic runs keyed by the exact body. Resumes
     // are excluded — their answer depends on the checkpoint's progress.
-    if !resumed {
+    if !job.resumed {
         let cached = inner.state.lock().unwrap().cache.get(body).cloned();
         if let Some(result) = cached {
             return finish(inner, id, ExecOutcome::Completed(result), None, true, busy_ms(busy));
@@ -500,7 +493,12 @@ fn finish(
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        let _ = std::fs::write(path, doc);
+        // Write, then rename into place: a reader polling for the dump
+        // never sees a half-written file.
+        let part = path.with_extension("json.part");
+        if std::fs::write(&part, doc).is_ok() {
+            let _ = std::fs::rename(part, path);
+        }
     }
 }
 
@@ -595,10 +593,12 @@ fn submit(inner: &Arc<Inner>, body: &str) -> Response {
     let st = &mut *st;
     let id =
         st.jobs.admit(body.to_string(), job.budget_ms, job.resumed, inner.now_ms(), &mut st.stats);
+    let record = st.jobs.get_mut(id).expect("just admitted");
+    let wire_id = record.wire_id();
+    record.parsed = Some(job);
     let admitted = st.queue.submit(id);
     debug_assert_eq!(admitted, Admission::Accepted, "depth was checked under the same lock");
     inner.cv.notify_all();
-    let wire_id = st.jobs.get(id).expect("just admitted").wire_id();
     json_response(202, format!("{{\"id\":\"{wire_id}\",\"state\":\"queued\"}}"))
 }
 
