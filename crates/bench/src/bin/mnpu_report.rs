@@ -1,6 +1,7 @@
 //! Generate a complete markdown reproduction report: runs every figure of
-//! the paper (reusing the persistent run cache) and writes each figure's
-//! table — the one its `figNN_*` bench target prints — to one file.
+//! the paper on one harness, whose run cache simulates each run once across
+//! all figures, and writes each figure's table — the one its `figNN_*`
+//! bench target prints — to one file.
 //!
 //! ```text
 //! cargo run --release -p mnpu-bench --bin mnpu_report [output.md]

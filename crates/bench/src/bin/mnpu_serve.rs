@@ -152,11 +152,6 @@ fn main() {
         .unwrap_or(if tiny { 5 } else { 1 })
         .max(1);
 
-    // The throughput benchmark must always measure real simulations (the
-    // sweep run cache is not used by serve mode, and every repeat serves
-    // every scenario again).
-    std::env::set_var("MNPU_NO_CACHE", "1");
-
     let (mode, specs) = if let Some(path) = &scenario_path {
         let spec = match load_scenario(path) {
             Ok(s) => s,

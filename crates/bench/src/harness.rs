@@ -4,19 +4,7 @@ use mnpu_engine::{Advance, Probe, RunReport, SharingLevel, SimSnapshot, Simulati
 use mnpu_model::{zoo, Network, Scale};
 use mnpu_systolic::{ArchConfig, WorkloadTrace};
 use std::collections::HashMap;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-/// Bump to invalidate cached run results after simulator changes.
-pub(crate) const CACHE_VERSION: u32 = 5;
-
-/// First line of the on-disk cache; a file whose header does not match is
-/// dropped wholesale (stale format or stale simulator).
-fn cache_header() -> String {
-    format!("#mnpu-run-cache v{CACHE_VERSION}")
-}
 
 /// FNV-1a, for compact cache keys.
 pub(crate) fn fnv1a(s: &str) -> u64 {
@@ -28,64 +16,9 @@ pub(crate) fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Read a run-cache file. A file whose version header does not match is
-/// deleted and reads as empty.
-fn load(path: &Path) -> HashMap<u64, Vec<u64>> {
-    let mut entries = HashMap::new();
-    let Ok(text) = fs::read_to_string(path) else { return entries };
-    let mut lines = text.lines();
-    if lines.next() != Some(cache_header().as_str()) {
-        // Wrong or missing version header: drop the stale file.
-        let _ = fs::remove_file(path);
-        return entries;
-    }
-    for line in lines {
-        let mut it = line.split('\t');
-        let (Some(k), Some(v)) = (it.next(), it.next()) else { continue };
-        let Ok(key) = k.parse::<u64>() else { continue };
-        let cycles: Vec<u64> = v.split(',').filter_map(|c| c.parse().ok()).collect();
-        if !cycles.is_empty() {
-            entries.insert(key, cycles);
-        }
-    }
-    entries
-}
-
-/// The memoized run results and where they persist.
-#[derive(Debug)]
-struct CacheState {
-    /// `None` until the first lookup reads the file.
-    entries: Option<HashMap<u64, Vec<u64>>>,
-    path: Option<PathBuf>,
-}
-
-impl CacheState {
-    /// The memoized results, read from the backing file on first use.
-    fn entries(&mut self) -> &mut HashMap<u64, Vec<u64>> {
-        let path = self.path.as_deref();
-        self.entries.get_or_insert_with(|| path.map(load).unwrap_or_default())
-    }
-
-    /// Rewrite the backing file (header line first).
-    fn flush(&self) {
-        let Some(p) = &self.path else { return };
-        if let Some(parent) = p.parent() {
-            let _ = fs::create_dir_all(parent);
-        }
-        let mut out = cache_header();
-        out.push('\n');
-        for (k, v) in self.entries.iter().flatten() {
-            let cycles: Vec<String> = v.iter().map(u64::to_string).collect();
-            out.push_str(&format!("{k}\t{}\n", cycles.join(",")));
-        }
-        if let Ok(mut f) = fs::File::create(p) {
-            let _ = f.write_all(out.as_bytes());
-        }
-    }
-}
-
 /// The experiment harness: the eight benchmarks at the active scale, and a
-/// memoized, disk-backed `run → per-core cycles` cache.
+/// memoized `run → per-core cycles` cache that lives as long as the
+/// process, so one process simulates each run once.
 ///
 /// All state is behind `Arc`s and mutexes, so cloning is cheap, every clone
 /// shares the same caches, and one harness serves every worker of a
@@ -106,7 +39,8 @@ pub struct Harness {
     /// arch). `ArchConfig` is `Hash + Eq`, so the key is structural — no
     /// per-lookup string formatting on the sweep hot path.
     traces: Arc<Mutex<HashMap<(usize, ArchConfig), WorkloadTrace>>>,
-    cache: Arc<Mutex<CacheState>>,
+    /// Per-core cycles of every run simulated so far, by [`Harness::key`].
+    cache: Arc<Mutex<HashMap<u64, Vec<u64>>>>,
 }
 
 impl Default for Harness {
@@ -116,26 +50,12 @@ impl Default for Harness {
 }
 
 impl Harness {
-    /// Build the harness at bench scale. The run cache file is read on the
-    /// first lookup of cached cycles, not here, so a harness that only runs
-    /// full reports never touches it; a file whose version header does not
-    /// match `CACHE_VERSION` is then discarded entirely.
+    /// Build the harness at bench scale, with empty caches.
     pub fn new() -> Self {
-        let networks = zoo::all(Scale::Bench);
-        let cache_path = if std::env::var_os("MNPU_NO_CACHE").is_some() {
-            None
-        } else {
-            // Bench binaries run with CWD = this crate; anchor the cache at
-            // the workspace target directory so every target shares it.
-            let target = std::env::var("CARGO_TARGET_DIR")
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target"));
-            Some(target.join("mnpu_run_cache.tsv"))
-        };
         Harness {
-            networks: Arc::new(networks),
+            networks: Arc::new(zoo::all(Scale::Bench)),
             traces: Arc::new(Mutex::new(HashMap::new())),
-            cache: Arc::new(Mutex::new(CacheState { entries: None, path: cache_path })),
+            cache: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
@@ -173,24 +93,21 @@ impl Harness {
     }
 
     pub(crate) fn key(cfg: &SystemConfig, workloads: &[usize]) -> u64 {
-        fnv1a(&format!("v{CACHE_VERSION}|{cfg:?}|{workloads:?}"))
+        fnv1a(&format!("{cfg:?}|{workloads:?}"))
     }
 
     /// The memoized result of a run, if it is already cached.
     pub(crate) fn cached(&self, cfg: &SystemConfig, workloads: &[usize]) -> Option<Vec<u64>> {
-        let key = Harness::key(cfg, workloads);
-        self.cache.lock().expect("cache lock").entries().get(&key).cloned()
+        self.cache.lock().expect("cache lock").get(&Harness::key(cfg, workloads)).cloned()
     }
 
     /// Memoize each finished run's per-core cycles under its
-    /// [`Harness::key`], in memory and on disk.
+    /// [`Harness::key`].
     pub(crate) fn memoize<'r>(&self, runs: impl IntoIterator<Item = (u64, &'r RunReport)>) {
         let mut cache = self.cache.lock().expect("cache lock");
-        let entries = cache.entries();
         for (key, report) in runs {
-            entries.insert(key, report.cores.iter().map(|c| c.cycles).collect());
+            cache.insert(key, report.cores.iter().map(|c| c.cycles).collect());
         }
-        cache.flush();
     }
 
     /// The memoized trace of `workload` on `arch`. The lock is held across
@@ -206,7 +123,7 @@ impl Harness {
     }
 
     /// Run `workloads[i]` on core *i* of `cfg`, returning per-core cycles.
-    /// Results are memoized in memory and on disk.
+    /// Results are memoized for the life of the process.
     ///
     /// # Panics
     ///
@@ -349,7 +266,6 @@ mod tests {
 
     #[test]
     fn run_mix_is_cached() {
-        std::env::set_var("MNPU_NO_CACHE", "1");
         let h = Harness::new();
         let cfg = Harness::dual(SharingLevel::Static);
         let a = h.run_mix(&cfg, &[6, 6]); // ncf+ncf: fastest mix
@@ -361,7 +277,6 @@ mod tests {
 
     #[test]
     fn clones_share_one_cache() {
-        std::env::set_var("MNPU_NO_CACHE", "1");
         let h = Harness::new();
         let cfg = Harness::dual(SharingLevel::Static);
         let a = h.run_mix(&cfg, &[6, 6]);
@@ -371,7 +286,6 @@ mod tests {
 
     #[test]
     fn speedups_are_at_most_one_ish() {
-        std::env::set_var("MNPU_NO_CACHE", "1");
         let h = Harness::new();
         let cfg = Harness::dual(SharingLevel::PlusDwt);
         for s in h.mix_speedups(&cfg, &[6, 6]) {

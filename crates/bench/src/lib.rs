@@ -7,9 +7,9 @@
 //! figure that reads cycles runs its simulations through [`run_mixes`]'s
 //! fan-out first. The [`harness`] module provides the shared machinery:
 //! the workload zoo at the active scale, Ideal baselines, mix enumeration
-//! and a persistent run cache (`target/mnpu_run_cache.tsv`) so that figures
-//! sharing sweeps (e.g. Figs. 4 and 6 both need the 36-mix dual sweep) don't
-//! re-simulate. The [`history`] module keeps the `BENCH_*.json` perf
+//! and a per-process run cache so that figures sharing sweeps (e.g. Figs. 4
+//! and 6 both need the 36-mix dual sweep) don't re-simulate within one
+//! `mnpu_report` run. The [`history`] module keeps the `BENCH_*.json` perf
 //! trajectories the `mnpu_hotpath` and `mnpu_serve` binaries append to.
 //!
 //! Environment knobs (read once per process):
@@ -17,7 +17,6 @@
 //! * `MNPU_FULL=1` — run the *full* quad-core (330 mixes) and mapping
 //!   (6435 multisets) sweeps instead of the deterministic samples;
 //! * `MNPU_QUAD_STRIDE=k` — sample every *k*-th quad mix (default 10);
-//! * `MNPU_NO_CACHE=1` — ignore and don't write the run cache;
 //! * `MNPU_JOBS=n` — worker threads for [`mnpu_engine::FanOut`], the one
 //!   fan-out that every sweep driver ([`run_counts`], [`run_mixes`] and
 //!   the figure sweeps, the `mnpu_serve` scenario list) and the serve

@@ -148,7 +148,6 @@ mod tests {
 
     #[test]
     fn grouped_reports_match_solo_runs() {
-        std::env::set_var("MNPU_NO_CACHE", "1");
         let h = Harness::new();
         let cfgs: Vec<SystemConfig> =
             [SharingLevel::PlusD, SharingLevel::PlusDw, SharingLevel::PlusDwt]

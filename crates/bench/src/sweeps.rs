@@ -244,7 +244,6 @@ mod tests {
 
     #[test]
     fn run_mixes_preserves_request_order_and_dedups() {
-        std::env::set_var("MNPU_NO_CACHE", "1");
         let h = Harness::new();
         let cfg = Harness::dual(SharingLevel::Static);
         let reqs: Vec<SweepRequest> = vec![

@@ -9,8 +9,7 @@ use mnpu_predict::mapping::multisets;
 
 #[test]
 fn parallel_dual_sweep_matches_serial_exactly() {
-    // Isolate from the on-disk cache and pin the worker count.
-    std::env::set_var("MNPU_NO_CACHE", "1");
+    // Pin the worker count.
     std::env::set_var("MNPU_JOBS", "4");
 
     let reqs: Vec<(mnpu_engine::SystemConfig, Vec<usize>)> =

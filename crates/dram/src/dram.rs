@@ -75,7 +75,6 @@ pub struct Dram {
     per_core_bytes: Vec<u64>,
     trace: Option<BandwidthTrace>,
     now: u64,
-    pending_count: usize,
     /// Reusable buffer for commands committed within one `advance` call;
     /// kept across calls so the steady state allocates nothing.
     scratch_committed: Vec<Completion>,
@@ -83,19 +82,21 @@ pub struct Dram {
     /// `advance` can change any state ([`Channel::next_attention`]).
     /// `advance_into_probed` skips channels whose cached cycle lies beyond
     /// `now` — the skipped call is a provable no-op. Refreshed after every
-    /// advance of the channel; an enqueue stores the `0` sentinel ("attend
-    /// at the next tick"), which doubles as the dirty flag so the per-wake
-    /// scan reads one word per channel. `0` can never be a live skip
-    /// threshold (`0 > now` is false for every clock value).
-    ch_att: Vec<Cell<u64>>,
+    /// advance of the channel; construction, restore and every enqueue
+    /// store the `0` sentinel ("attend at the next tick"), which doubles as
+    /// the dirty flag so the per-wake scan reads one word per channel. `0`
+    /// can never be a live skip threshold (`0 > now` is false for every
+    /// clock value). A memo, never checkpointed.
+    ch_att: Vec<u64>,
     /// Per-channel cache of [`Channel::ea_component`] (`u64::MAX` = idle),
     /// so [`Dram::next_event`] reads one word per channel instead of
     /// re-deriving the scheduler pick. Refreshed after every advance of
-    /// the channel; an enqueue stores the `0` sentinel ("stale") and
-    /// `next_event` recomputes lazily through the `Cell` (an enqueue can
-    /// land between an advance and the next-event query). A legitimately
-    /// zero earliest action only exists at cycle 0, where the recompute
-    /// returns the same value.
+    /// the channel; construction, restore and every enqueue store the `0`
+    /// sentinel ("stale") and `next_event` recomputes lazily through the
+    /// `Cell` (an enqueue can land between an advance and the next-event
+    /// query). A legitimately zero earliest action only exists at cycle 0,
+    /// where the recompute returns the same value. A memo, never
+    /// checkpointed.
     ch_ea: Vec<Cell<u64>>,
 }
 
@@ -118,11 +119,8 @@ impl Dram {
         if std::env::var_os("MNPU_NO_FASTFWD").is_some_and(|v| v != "0") {
             config.fastfwd = false;
         }
-        let channels: Vec<Channel> = (0..config.channels).map(|_| Channel::new(&config)).collect();
-        let ch_att = channels.iter().map(|c| Cell::new(c.next_attention())).collect();
-        let ch_ea = channels.iter().map(|c| Cell::new(c.ea_component())).collect();
         Dram {
-            channels,
+            channels: (0..config.channels).map(|_| Channel::new(&config)).collect(),
             core_channels: Vec::new(),
             all_channels: (0..config.channels).collect(),
             in_flight: BinaryHeap::new(),
@@ -131,10 +129,9 @@ impl Dram {
             per_core_bytes: Vec::new(),
             trace: None,
             now: 0,
-            pending_count: 0,
             scratch_committed: Vec::new(),
-            ch_att,
-            ch_ea,
+            ch_att: vec![0; config.channels],
+            ch_ea: vec![Cell::new(0); config.channels],
             config,
         }
     }
@@ -180,7 +177,7 @@ impl Dram {
 
     /// Number of transactions enqueued or in flight.
     pub fn pending(&self) -> usize {
-        self.pending_count
+        self.channels.iter().map(Channel::queue_len).sum::<usize>() + self.in_flight.len()
     }
 
     /// Submit a 64-byte transaction at device cycle `now`.
@@ -230,9 +227,8 @@ impl Dram {
         // `0` sentinel: attend this channel at the next tick (the arrival
         // may be committable immediately) and recompute its earliest
         // action lazily.
-        self.ch_att[ch].set(0);
+        self.ch_att[ch] = 0;
         self.ch_ea[ch].set(0);
-        self.pending_count += 1;
         if P::ENABLED {
             probe.record(
                 now,
@@ -282,12 +278,12 @@ impl Dram {
             // beyond `now`), so freshly fed channels are always attended.
             // This is what turns the per-wake cost from O(channels) into
             // O(channels with work).
-            if self.ch_att[i].get() > now {
+            if self.ch_att[i] > now {
                 continue;
             }
             let ch = &mut self.channels[i];
             ch.advance_probed(now, &mut committed, probe, i);
-            self.ch_att[i].set(ch.next_attention());
+            self.ch_att[i] = ch.next_attention();
             self.ch_ea[i].set(ch.ea_component());
             for c in committed.drain(..) {
                 // Account bytes at commit time (the data burst is scheduled).
@@ -320,7 +316,6 @@ impl Dram {
             self.in_flight.pop();
             let c = self.in_flight_data[slot as usize].take().expect("slot occupied");
             self.free_slots.push(slot as usize);
-            self.pending_count -= 1;
             out.push(c);
         }
     }
@@ -389,7 +384,10 @@ impl Dram {
     /// allocation history is observable and must survive restore
     /// bit-exactly), byte accounting, the bandwidth trace and the clock.
     /// Structural state (config, channel partitions) is excluded: restore
-    /// targets a device built from the same configuration.
+    /// targets a device built from the same configuration. The per-channel
+    /// attention and earliest-action memos are excluded too: restore resets
+    /// them to the `0` sentinel, so equal devices give equal bytes whatever
+    /// [`Dram::next_event`] queries preceded the save.
     pub fn save_state(&self, w: &mut Writer) {
         w.tag(0xD0);
         w.usize(self.channels.len());
@@ -417,9 +415,6 @@ impl Dram {
         w.seq(&self.per_core_bytes, |w, &b| w.u64(b));
         w.opt(&self.trace, |w, t| t.save_state(w));
         w.u64(self.now);
-        w.usize(self.pending_count);
-        w.seq(&self.ch_att, |w, c| w.u64(c.get()));
-        w.seq(&self.ch_ea, |w, c| w.u64(c.get()));
     }
 
     /// Restore state saved by [`Dram::save_state`] into a device built from
@@ -458,18 +453,11 @@ impl Dram {
         }
         self.trace = trace;
         self.now = r.u64()?;
-        self.pending_count = r.usize()?;
-        let att = r.seq(|r| r.u64())?;
-        let ea = r.seq(|r| r.u64())?;
-        if att.len() != self.ch_att.len() || ea.len() != self.ch_ea.len() {
-            return Err(SnapError::BadValue("attention cache length mismatch"));
-        }
-        for (c, v) in self.ch_att.iter().zip(att) {
-            c.set(v);
-        }
-        for (c, v) in self.ch_ea.iter().zip(ea) {
-            c.set(v);
-        }
+        // Attend every channel at the next tick and recompute every
+        // earliest action: a channel attended early is a provable no-op
+        // (see the attention filter), so the resumed run is bit-exact.
+        self.ch_att.fill(0);
+        self.ch_ea.iter().for_each(|c| c.set(0));
         self.scratch_committed.clear();
         Ok(())
     }

@@ -3,7 +3,8 @@
 //! a brute-force recomputation that rescans every channel's queue
 //! (`Dram::next_event_uncached`). This is the invariant the whole event loop
 //! leans on — a stale candidate cache would silently stall or reorder the
-//! simulation rather than crash.
+//! simulation rather than crash. The memo is not device state, so filling
+//! it must also leave the device's checkpoint bytes as they were.
 
 use mnpu_dram::{Dram, DramConfig, SchedPolicy, TRANSACTION_BYTES};
 use proptest::prelude::*;
@@ -102,4 +103,23 @@ proptest! {
         let cfg = DramConfig { queue_depth: 4, ..DramConfig::hbm2(1) };
         check(Dram::new(cfg), &ops)?;
     }
+}
+
+/// A `next_event` query between an enqueue and a checkpoint refills the
+/// earliest-action memo the enqueue marked stale; the checkpoint must not
+/// see it, or equal devices would save unequal bytes.
+#[test]
+fn next_event_query_leaves_checkpoint_bytes_unchanged() {
+    let save = |dram: &Dram| {
+        let mut w = mnpu_snapshot::Writer::new();
+        dram.save_state(&mut w);
+        w.finish()
+    };
+    let mut dram = Dram::new(DramConfig::hbm2(4));
+    for (meta, addr) in [0u64, 4096, 1 << 20].into_iter().enumerate() {
+        dram.try_enqueue(0, 0, addr, false, meta as u64).expect("queue has room");
+    }
+    let before = save(&dram);
+    assert!(dram.next_event().is_some());
+    assert!(save(&dram) == before, "a next_event query changed the checkpoint bytes");
 }

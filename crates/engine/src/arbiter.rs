@@ -37,7 +37,8 @@ pub(crate) struct Arbiter {
     /// resident. While it is `false`, the drain body is a provable no-op
     /// (`Mmu::probe` is `&self`, a failed `try_acquire` mutates nothing)
     /// and `issue_all` skips it, keeping only its round-robin rotation so
-    /// the arbitration sequence stays bit-identical.
+    /// the arbitration sequence stays bit-identical. A memo, never
+    /// checkpointed: restore sets it, forcing one such no-op drain.
     pub(crate) walker_event: bool,
     /// Reused scratch for the retry-queue drain in `issue_all`.
     pub(crate) retry_scratch: VecDeque<RetryTxn>,
@@ -227,11 +228,7 @@ impl<P: Probe> Simulation<P> {
 
     fn issue_core(&mut self, ci: usize) {
         let budget = self.cfg.arch[ci].max_outstanding;
-        self.cores[ci].blocked_on_dram = false;
-        loop {
-            if self.cores[ci].outstanding >= budget || self.cores[ci].blocked_on_dram {
-                return;
-            }
+        while self.cores[ci].outstanding < budget {
             // Pick the next transaction: the load stage first (it gates
             // compute), then the oldest store stage.
             let stage_id = {
@@ -252,38 +249,10 @@ impl<P: Probe> Simulation<P> {
     }
 
     /// Issue one transaction; returns `false` when the core must stop
-    /// issuing (DRAM queue full).
+    /// issuing (DRAM queue full). With translation off every access is a
+    /// TLB hit that records no TLB event and writes no log line.
     fn try_issue_txn(&mut self, ci: usize, stage_id: usize, vaddr: u64) -> bool {
-        let is_write = self.stages[stage_id].is_store;
-        if self.mmu.is_none() {
-            // Translation disabled: direct mapping, no MMU timing.
-            let paddr = self.page_tables[ci].translate(vaddr);
-            match self.memory.enqueue(
-                self.now,
-                ci,
-                paddr,
-                is_write,
-                stage_id as u64,
-                &mut self.probe,
-            ) {
-                Ok(()) => {
-                    if P::ENABLED {
-                        self.probe.record(self.now, Event::DmaGrant { core: ci });
-                    }
-                    self.stages[stage_id].advance();
-                    self.cores[ci].outstanding += 1;
-                    true
-                }
-                Err(EnqueueError::QueueFull { .. }) => {
-                    if P::ENABLED {
-                        self.probe.record(self.now, Event::DmaRetry { core: ci });
-                    }
-                    self.cores[ci].blocked_on_dram = true;
-                    false
-                }
-            }
-        } else {
-            let mmu = self.mmu.as_mut().expect("checked above");
+        if let Some(mmu) = self.mmu.as_mut() {
             let vpn = mmu.vpn_of(vaddr);
             let hit = mmu.lookup(ci, vpn);
             self.mirror_lookup(ci, vpn, hit);
@@ -292,33 +261,7 @@ impl<P: Probe> Simulation<P> {
                 self.probe.record(self.now, ev);
             }
             self.log(ci, if hit { LogKind::TlbHit } else { LogKind::TlbMiss }, vaddr);
-            if hit {
-                let paddr = self.page_tables[ci].translate(vaddr);
-                match self.memory.enqueue(
-                    self.now,
-                    ci,
-                    paddr,
-                    is_write,
-                    stage_id as u64,
-                    &mut self.probe,
-                ) {
-                    Ok(()) => {
-                        if P::ENABLED {
-                            self.probe.record(self.now, Event::DmaGrant { core: ci });
-                        }
-                        self.stages[stage_id].advance();
-                        self.cores[ci].outstanding += 1;
-                        true
-                    }
-                    Err(EnqueueError::QueueFull { .. }) => {
-                        if P::ENABLED {
-                            self.probe.record(self.now, Event::DmaRetry { core: ci });
-                        }
-                        self.cores[ci].blocked_on_dram = true;
-                        false
-                    }
-                }
-            } else {
+            if !hit {
                 // TLB miss: the transaction parks on a walk.
                 self.stages[stage_id].advance();
                 self.cores[ci].outstanding += 1;
@@ -350,7 +293,25 @@ impl<P: Probe> Simulation<P> {
                         entry.push((stage_id, vaddr));
                     }
                 }
+                return true;
+            }
+        }
+        let paddr = self.page_tables[ci].translate(vaddr);
+        let is_write = self.stages[stage_id].is_store;
+        match self.memory.enqueue(self.now, ci, paddr, is_write, stage_id as u64, &mut self.probe) {
+            Ok(()) => {
+                if P::ENABLED {
+                    self.probe.record(self.now, Event::DmaGrant { core: ci });
+                }
+                self.stages[stage_id].advance();
+                self.cores[ci].outstanding += 1;
                 true
+            }
+            Err(EnqueueError::QueueFull { .. }) => {
+                if P::ENABLED {
+                    self.probe.record(self.now, Event::DmaRetry { core: ci });
+                }
+                false
             }
         }
     }

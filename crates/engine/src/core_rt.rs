@@ -32,12 +32,12 @@ pub(crate) struct CoreRt {
     pub(crate) compute_cycles_total: u64,
     pub(crate) data_txns: u64,
     pub(crate) walk_txns: u64,
-    pub(crate) blocked_on_dram: bool,
     /// Set whenever an external event (a data completion) may have
     /// unblocked the pipeline; cleared after a full `progress_core` pass.
     /// Between the two, `progress_core` is a guaranteed no-op unless a
     /// running compute has retired — which the wake check tests directly —
-    /// so the event loop skips the call entirely.
+    /// so the event loop skips the call entirely. A memo, never
+    /// checkpointed: restore sets it, and the extra pass is that no-op.
     pub(crate) needs_progress: bool,
 }
 
@@ -72,7 +72,6 @@ impl CoreRt {
             compute_cycles_total: 0,
             data_txns: 0,
             walk_txns: 0,
-            blocked_on_dram: false,
             needs_progress: true,
         }
     }

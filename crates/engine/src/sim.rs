@@ -684,7 +684,6 @@ impl<P: Probe> Simulation<P> {
                 rt.needs_progress = true;
                 rt.outstanding -= 1;
                 rt.data_txns += 1;
-                rt.blocked_on_dram = false;
                 if is_store {
                     rt.layer_store_remaining[layer] -= 1;
                     if rt.layer_store_remaining[layer] == 0 {

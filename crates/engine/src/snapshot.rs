@@ -3,9 +3,9 @@
 //! [`Simulation::snapshot`] serializes every piece of mutable state the
 //! event loop can observe — per-core pipeline state, DMA stages, walk
 //! parking lots, arbitration pointers, page tables, MMU, NoC links and
-//! in-flight queues, the request log, the memory backend (including its
-//! fast-forward caches) and the simulation's one probe — into a
-//! versioned [`SimSnapshot`]. [`Simulation::restore`] reinstates it into a
+//! in-flight queues, the request log, the memory backend and the
+//! simulation's one probe — into a versioned [`SimSnapshot`].
+//! [`Simulation::restore`] reinstates it into a
 //! *freshly built* simulation of the same configuration and workloads;
 //! resuming from the restored state then yields a byte-identical
 //! [`crate::RunReport`], the property the validation suite's lockstep laws
@@ -19,6 +19,11 @@
 //! * performance caches with no observable effect (`waiter_pool`,
 //!   `retry_scratch`, the arbiter's `walker_blocked` scratch) — restore
 //!   resets them empty;
+//! * memos the event loop rebuilds (each core's `needs_progress`, the
+//!   arbiter's `walker_event`, the DRAM attention and earliest-action
+//!   caches, each channel's scheduler pick, the MMU's eviction mailbox) —
+//!   restore sets them to their conservative values, whose only effect is
+//!   an extra pass that the skip paths' invariants make a no-op;
 //! * `completion_buf`, which is provably empty between pump passes.
 //!
 //! Maps are serialized in sorted key order so equal states produce equal
@@ -116,8 +121,6 @@ fn save_core(w: &mut Writer, rt: &CoreRt) {
     w.u64(rt.compute_cycles_total);
     w.u64(rt.data_txns);
     w.u64(rt.walk_txns);
-    w.bool(rt.blocked_on_dram);
-    w.bool(rt.needs_progress);
 }
 
 /// Restore one core's mutable state in place. The trace (and everything
@@ -152,8 +155,7 @@ fn load_core(r: &mut Reader<'_>, core: usize, rt: &mut CoreRt) -> Result<(), Sna
     rt.compute_cycles_total = r.u64()?;
     rt.data_txns = r.u64()?;
     rt.walk_txns = r.u64()?;
-    rt.blocked_on_dram = r.bool()?;
-    rt.needs_progress = r.bool()?;
+    rt.needs_progress = true;
     Ok(())
 }
 
@@ -180,7 +182,6 @@ fn save_arbiter(w: &mut Writer, a: &Arbiter) {
             w.u64(vaddr);
         });
     });
-    w.bool(a.walker_event);
 }
 
 fn load_arbiter(r: &mut Reader<'_>, a: &mut Arbiter, cores: usize) -> Result<(), SnapError> {
@@ -203,7 +204,8 @@ fn load_arbiter(r: &mut Reader<'_>, a: &mut Arbiter, cores: usize) -> Result<(),
         Ok((key, parked))
     })?;
     a.walker_waiters = waiters.into_iter().collect();
-    a.walker_event = r.bool()?;
+    // A memo: the drain it forces finds nothing to do (see `walker_event`).
+    a.walker_event = true;
     // Pure scratch: rebuilt empty/false, matching what a native run holds
     // outside `drain_walker_wait` / `issue_all`.
     a.walker_blocked = vec![false; cores];

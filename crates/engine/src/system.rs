@@ -393,14 +393,27 @@ impl SystemConfig {
         if self.channels_per_core == 0 {
             return Err(ConfigError::NoChannels);
         }
+        // Every count the simulator derives by multiplying or summing is
+        // checked here, before anything computes it unchecked.
+        let Some(channels) = self.cores.checked_mul(self.channels_per_core) else {
+            return Err(ConfigError::InvalidDram("total channel count overflows".into()));
+        };
         let mut dram = self.dram.clone();
-        dram.channels = self.total_channels();
+        dram.channels = channels;
         dram.validate().map_err(ConfigError::InvalidDram)?;
         self.mmu.validate().map_err(ConfigError::InvalidMmu)?;
         let invalid_mmu = |reason: &str| Err(ConfigError::InvalidMmu(reason.into()));
-        let pooled = self.mmu.ptws_per_core * self.cores;
-        if self.ptw_partition.as_ref().map_or(pooled, |p| p.iter().sum()) == 0 {
-            return invalid_mmu("at least one page-table walker required");
+        if self.mmu.tlb_entries_per_core.checked_mul(self.cores as u64).is_none() {
+            return invalid_mmu("chip-wide TLB entry count overflows");
+        }
+        let sum = |counts: &[usize]| counts.iter().try_fold(0usize, |s, &n| s.checked_add(n));
+        let Some(pooled) = self.mmu.ptws_per_core.checked_mul(self.cores) else {
+            return invalid_mmu("page-table walker count overflows");
+        };
+        match self.ptw_partition.as_deref().map_or(Some(pooled), sum) {
+            None => return invalid_mmu("page-table walker count overflows"),
+            Some(0) => return invalid_mmu("at least one page-table walker required"),
+            Some(_) => {}
         }
         if let Some(p) = &self.ptw_partition {
             if p.len() != self.cores {
@@ -421,11 +434,9 @@ impl SystemConfig {
                     got: p.len(),
                 });
             }
-            if p.iter().sum::<usize>() != self.total_channels() {
-                return Err(ConfigError::PartitionSum {
-                    expected: self.total_channels(),
-                    got: p.iter().sum(),
-                });
+            let got = sum(p).unwrap_or(usize::MAX);
+            if got != channels {
+                return Err(ConfigError::PartitionSum { expected: channels, got });
             }
             if p.contains(&0) {
                 return Err(ConfigError::PartitionZero);
@@ -447,7 +458,7 @@ impl SystemConfig {
             if b.max.iter().any(|&hi| hi > pooled) {
                 return invalid_mmu("ptw_bounds max must not exceed the pool");
             }
-            if b.min.iter().sum::<usize>() > pooled {
+            if sum(&b.min).is_none_or(|min| min > pooled) {
                 return invalid_mmu("ptw_bounds minimums oversubscribe the pool");
             }
         }

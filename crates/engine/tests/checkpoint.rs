@@ -123,6 +123,33 @@ fn equal_states_produce_byte_equal_snapshots() {
     assert_eq!(snap(()), snap(()), "snapshot bytes are a determinism oracle");
 }
 
+/// Snapshots hold state, not memos: a no-op `advance(now)` at a finish
+/// boundary re-queries the event loop's memos (the DRAM next-event cache
+/// among them) without moving the simulation, so the bytes must not move
+/// either.
+#[test]
+fn no_op_advance_at_each_finish_leaves_snapshot_bytes_unchanged() {
+    let cfg = SystemConfig::bench(4, SharingLevel::PlusDwt);
+    let nets = [
+        zoo::resnet50(Scale::Bench),
+        zoo::deepspeech2(Scale::Bench),
+        zoo::alexnet(Scale::Bench),
+        zoo::dlrm(Scale::Bench),
+    ];
+    let traces: Vec<WorkloadTrace> =
+        nets.iter().zip(&cfg.arch).map(|(n, a)| WorkloadTrace::generate(n, a)).collect();
+    let mut sim = Simulation::new(&cfg, &traces);
+    let mut finishes = 0;
+    while let Advance::CoreFinished { at, .. } = sim.advance(u64::MAX) {
+        finishes += 1;
+        let before = sim.snapshot().to_bytes();
+        let outcome = sim.advance(sim.now());
+        assert!(matches!(outcome, Advance::Parked | Advance::Drained), "{outcome:?} at {at}");
+        assert!(sim.snapshot().to_bytes() == before, "no-op advance at cycle {at} moved the bytes");
+    }
+    assert_eq!(finishes, 4);
+}
+
 #[test]
 fn version_mismatch_fails_loudly() {
     let cfg = SystemConfig::bench(2, SharingLevel::PlusDwt);

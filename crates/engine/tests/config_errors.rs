@@ -165,6 +165,56 @@ fn zero_trace_window() {
 }
 
 #[test]
+fn oversized_counts_are_errors_not_overflows() {
+    // Each count below overflows the product or sum the simulator derives
+    // from it (walkers × cores, the walker partition's and minimums' sums,
+    // channels × cores, TLB entries × cores, the channel partition's sum).
+    let mut cfg = base(2, SharingLevel::Static);
+    cfg.mmu.ptws_per_core = usize::MAX / 2 + 2;
+    assert_eq!(
+        cfg.validate().unwrap_err(),
+        ConfigError::InvalidMmu("page-table walker count overflows".into())
+    );
+
+    let mut cfg = base(2, SharingLevel::Static);
+    cfg.ptw_partition = Some(vec![usize::MAX, 2]);
+    assert_eq!(
+        cfg.validate().unwrap_err(),
+        ConfigError::InvalidMmu("page-table walker count overflows".into())
+    );
+
+    let mut cfg = base(2, SharingLevel::PlusDwt);
+    cfg.mmu.ptws_per_core = usize::MAX / 2;
+    let pool = cfg.mmu.ptws_per_core * 2;
+    cfg.ptw_bounds = Some(mnpu_mmu::PtwBounds { min: vec![pool, pool], max: vec![pool, pool] });
+    assert_eq!(
+        cfg.validate().unwrap_err(),
+        ConfigError::InvalidMmu("ptw_bounds minimums oversubscribe the pool".into())
+    );
+
+    let mut cfg = base(2, SharingLevel::Static);
+    cfg.channels_per_core = usize::MAX;
+    assert_eq!(
+        cfg.validate().unwrap_err(),
+        ConfigError::InvalidDram("total channel count overflows".into())
+    );
+
+    let mut cfg = base(2, SharingLevel::PlusDwt);
+    cfg.mmu.tlb_entries_per_core = u64::MAX - 7;
+    assert_eq!(
+        cfg.validate().unwrap_err(),
+        ConfigError::InvalidMmu("chip-wide TLB entry count overflows".into())
+    );
+
+    let mut cfg = base(2, SharingLevel::Static);
+    cfg.channel_partition = Some(vec![usize::MAX, 9]);
+    assert_eq!(
+        cfg.validate().unwrap_err(),
+        ConfigError::PartitionSum { expected: 8, got: usize::MAX }
+    );
+}
+
+#[test]
 fn presets_build_clean() {
     for cores in [1, 2, 4] {
         for sharing in

@@ -2,13 +2,16 @@
 //! `noc_responses` heap in the engine that holds memory completions whose
 //! crossbar ejection finishes after the current cycle.
 //!
-//! The request path is exercised by every NoC run (requests serialize on
-//! injection before reaching DRAM); responses only take the heap detour
-//! when the ejection link pushes their arrival past `now`. These tests pin
-//! that path three ways: a byte-exact golden fixture of a contended
-//! crossbar run, directional laws (a response link can only add time, a
-//! pure hop delay shifts completions without queueing), and full-report
-//! determinism.
+//! Every response crosses its core's ejection link, and only takes the
+//! heap detour when that link pushes its arrival past `now`. Requests do
+//! not all cross the injection link: page-table walk reads and the
+//! transactions a finished walk releases do, but TLB-hit data
+//! transactions (and every transaction when translation is off) enter the
+//! DRAM queue directly, so the request links carry only part of the
+//! traffic. These tests pin the response path three ways: a byte-exact
+//! golden fixture of a contended crossbar run, directional laws (a
+//! response link can only add time, a pure hop delay shifts completions
+//! without queueing), and full-report determinism.
 //!
 //! Regenerate the fixture intentionally with:
 //!

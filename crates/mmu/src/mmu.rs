@@ -57,7 +57,6 @@ struct Walk {
     core: usize,
     vpn: u64,
     levels_left: u32,
-    joined: u32,
 }
 
 /// Per-core MMU statistics.
@@ -107,6 +106,7 @@ pub struct Mmu {
     stats: Vec<MmuStats>,
     /// The `(owner_asid, vpn)` displaced by the most recent TLB fill, kept
     /// until [`Mmu::take_last_eviction`] collects it for the probe layer.
+    /// A mailbox, not state: checkpoints leave it out and restore empties it.
     last_eviction: Option<(u16, u64)>,
 }
 
@@ -199,9 +199,6 @@ impl Mmu {
         if self.config.coalesce_walks {
             if let Some(&id) = self.active_by_page.get(&(core as u16, vpn)) {
                 self.stats[core].coalesced += 1;
-                if let Some(w) = self.walks.get_mut(&id.raw()) {
-                    w.joined += 1;
-                }
                 return WalkStart::Joined(id);
             }
         }
@@ -214,7 +211,7 @@ impl Mmu {
         let id = WalkId(self.next_walk_id);
         self.next_walk_id += 1;
         let levels = self.config.walk_levels();
-        self.walks.insert(id.raw(), Walk { core, vpn, levels_left: levels, joined: 0 });
+        self.walks.insert(id.raw(), Walk { core, vpn, levels_left: levels });
         if self.config.coalesce_walks {
             self.active_by_page.insert((core as u16, vpn), id);
         }
@@ -304,9 +301,9 @@ impl Mmu {
     /// Serialize all mutable MMU state: TLB contents, walker occupancy,
     /// in-flight walks and the coalescing table (both in sorted key order —
     /// their map iteration order is never behaviorally observed), the walk
-    /// id counter, per-core stats and the pending eviction. Configuration,
-    /// core count and page-table bases are excluded: restore targets an MMU
-    /// built from the same inputs.
+    /// id counter and per-core stats. Configuration, core count and
+    /// page-table bases are excluded: restore targets an MMU built from the
+    /// same inputs.
     pub fn save_state(&self, w: &mut mnpu_snapshot::Writer) {
         w.tag(0xE0);
         w.seq(&self.tlbs, |w, t| t.save_state(w));
@@ -318,7 +315,6 @@ impl Mmu {
             w.usize(walk.core);
             w.u64(walk.vpn);
             w.u32(walk.levels_left);
-            w.u32(walk.joined);
         });
         let mut active: Vec<(&(u16, u64), &WalkId)> = self.active_by_page.iter().collect();
         active.sort_unstable_by_key(|(k, _)| **k);
@@ -335,10 +331,6 @@ impl Mmu {
             w.u64(s.coalesced);
             w.u64(s.walker_stalls);
             w.u64(s.tlb_evictions);
-        });
-        w.opt(&self.last_eviction, |w, &(asid, vpn)| {
-            w.u16(asid);
-            w.u64(vpn);
         });
     }
 
@@ -364,10 +356,7 @@ impl Mmu {
         }
         self.walkers.load_state(r)?;
         let walks = r.seq(|r| {
-            Ok((
-                r.u64()?,
-                Walk { core: r.usize()?, vpn: r.u64()?, levels_left: r.u32()?, joined: r.u32()? },
-            ))
+            Ok((r.u64()?, Walk { core: r.usize()?, vpn: r.u64()?, levels_left: r.u32()? }))
         })?;
         if walks.iter().any(|(_, w)| w.core >= self.cores || w.levels_left == 0) {
             return Err(SnapError::BadValue("in-flight walk out of range"));
@@ -390,7 +379,7 @@ impl Mmu {
             return Err(SnapError::BadValue("MMU stats core count mismatch"));
         }
         self.stats = stats;
-        self.last_eviction = r.opt(|r| Ok((r.u16()?, r.u64()?)))?;
+        self.last_eviction = None;
         Ok(())
     }
 }

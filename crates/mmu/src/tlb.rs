@@ -29,8 +29,6 @@ pub struct Tlb {
     sets: Vec<Vec<Entry>>,
     assoc: usize,
     clock: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -47,8 +45,6 @@ impl Tlb {
             sets: vec![Vec::with_capacity(assoc as usize); n_sets],
             assoc: assoc as usize,
             clock: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -64,22 +60,20 @@ impl Tlb {
         idx as usize
     }
 
-    /// Probe for `(asid, vpn)`; updates LRU state and hit/miss counters.
+    /// Probe for `(asid, vpn)`; a hit refreshes the entry's LRU age.
     pub fn lookup(&mut self, asid: u16, vpn: u64) -> bool {
         self.clock += 1;
         let idx = self.set_index(asid, vpn);
         let set = &mut self.sets[idx];
         if let Some(e) = set.iter_mut().find(|e| e.asid == asid && e.vpn == vpn) {
             e.last_use = self.clock;
-            self.hits += 1;
             true
         } else {
-            self.misses += 1;
             false
         }
     }
 
-    /// Probe without disturbing LRU state or counters.
+    /// Probe without disturbing LRU state.
     pub fn probe(&self, asid: u16, vpn: u64) -> bool {
         let idx = self.set_index(asid, vpn);
         self.sets[idx].iter().any(|e| e.asid == asid && e.vpn == vpn)
@@ -122,24 +116,14 @@ impl Tlb {
         }
     }
 
-    /// Lookup hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookup misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Number of resident entries.
     pub fn occupancy(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
     }
 
     /// Serialize all mutable TLB state (resident entries in stored order,
-    /// LRU clock, counters). Geometry is excluded: restore targets a TLB
-    /// built with the same `entries`/`assoc`.
+    /// LRU clock). Geometry is excluded: restore targets a TLB built with
+    /// the same `entries`/`assoc`.
     pub fn save_state(&self, w: &mut mnpu_snapshot::Writer) {
         w.seq(&self.sets, |w, set| {
             w.seq(set, |w, e| {
@@ -149,8 +133,6 @@ impl Tlb {
             });
         });
         w.u64(self.clock);
-        w.u64(self.hits);
-        w.u64(self.misses);
     }
 
     /// Restore state saved by [`Tlb::save_state`] into a TLB of the same
@@ -171,8 +153,6 @@ impl Tlb {
         }
         self.sets = sets;
         self.clock = r.u64()?;
-        self.hits = r.u64()?;
-        self.misses = r.u64()?;
         Ok(())
     }
 }
@@ -187,7 +167,6 @@ mod tests {
         let mut t = Tlb::new(16, 4);
         t.insert(0, 100);
         assert!(t.lookup(0, 100));
-        assert_eq!(t.hits(), 1);
     }
 
     #[test]

@@ -37,10 +37,6 @@ pub struct WalkerPool {
     /// Walkers busy or held in reserve: the sum over cores of
     /// `max(in_use[c], min[c])`. Never exceeds `total`.
     claimed: usize,
-    busy: usize,
-    busy_peak: usize,
-    acquires: u64,
-    rejects: u64,
 }
 
 impl WalkerPool {
@@ -62,17 +58,7 @@ impl WalkerPool {
         let claimed = min.iter().sum();
         assert!(claimed <= total, "minimum reservations oversubscribe the pool");
         let in_use = vec![0; min.len()];
-        WalkerPool {
-            total,
-            min,
-            max,
-            in_use,
-            claimed,
-            busy: 0,
-            busy_peak: 0,
-            acquires: 0,
-            rejects: 0,
-        }
+        WalkerPool { total, min, max, in_use, claimed }
     }
 
     /// Total walkers in the pool.
@@ -99,16 +85,12 @@ impl WalkerPool {
             held < self.max[core] && (held < self.min[core] || self.claimed < self.total)
         });
         if !granted {
-            self.rejects += 1;
             return false;
         }
         if self.in_use[core] >= self.min[core] {
             self.claimed += 1;
         }
         self.in_use[core] += 1;
-        self.busy += 1;
-        self.busy_peak = self.busy_peak.max(self.busy);
-        self.acquires += 1;
         true
     }
 
@@ -120,35 +102,16 @@ impl WalkerPool {
     pub fn release(&mut self, core: usize) {
         assert!(self.in_use[core] > 0, "release without matching acquire");
         self.in_use[core] -= 1;
-        self.busy -= 1;
         if self.in_use[core] >= self.min[core] {
             self.claimed -= 1;
         }
     }
 
-    /// Peak number of simultaneously busy walkers.
-    pub fn busy_peak(&self) -> usize {
-        self.busy_peak
-    }
-
-    /// Successful acquisitions.
-    pub fn acquires(&self) -> u64 {
-        self.acquires
-    }
-
-    /// Failed acquisitions (walk had to wait for a walker).
-    pub fn rejects(&self) -> u64 {
-        self.rejects
-    }
-
-    /// Serialize all mutable pool state: per-core occupancy, peak, and the
-    /// acquire/reject counters. The total and bounds are excluded: restore
-    /// targets a pool built with the same ones.
+    /// Serialize all mutable pool state: the walkers each core holds. The
+    /// total and bounds are excluded: restore targets a pool built with the
+    /// same ones.
     pub fn save_state(&self, w: &mut mnpu_snapshot::Writer) {
         w.seq(&self.in_use, |w, &u| w.usize(u));
-        w.usize(self.busy_peak);
-        w.u64(self.acquires);
-        w.u64(self.rejects);
     }
 
     /// Restore state saved by [`WalkerPool::save_state`] into a pool built
@@ -172,11 +135,7 @@ impl WalkerPool {
             return Err(SnapError::BadValue("walker pool occupancy out of bounds"));
         }
         self.claimed = claimed;
-        self.busy = in_use.iter().sum();
         self.in_use = in_use;
-        self.busy_peak = r.usize()?;
-        self.acquires = r.u64()?;
-        self.rejects = r.u64()?;
         Ok(())
     }
 }
@@ -201,7 +160,6 @@ mod tests {
             assert!(p.try_acquire(0));
         }
         assert!(!p.try_acquire(1));
-        assert_eq!(p.busy_peak(), 16);
     }
 
     #[test]
@@ -223,8 +181,6 @@ mod tests {
         assert!(p.try_acquire(0));
         p.release(0);
         assert!(p.try_acquire(0));
-        assert_eq!(p.acquires(), 2);
-        assert_eq!(p.rejects(), 0);
     }
 
     #[test]
@@ -232,15 +188,6 @@ mod tests {
     fn double_release_panics() {
         let mut p = WalkerPool::new(1, vec![1], vec![1]);
         p.release(0);
-    }
-
-    #[test]
-    fn reject_counting() {
-        let mut p = WalkerPool::new(1, vec![0, 0], vec![1, 1]);
-        assert!(p.try_acquire(0));
-        assert!(!p.try_acquire(1));
-        assert!(!p.try_acquire(1));
-        assert_eq!(p.rejects(), 2);
     }
 
     #[test]
@@ -269,7 +216,6 @@ mod tests {
             assert!(p.try_acquire(1));
         }
         assert!(!p.try_acquire(1), "pool exhausted");
-        assert_eq!(p.busy_peak(), 8);
     }
 
     #[test]

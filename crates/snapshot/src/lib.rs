@@ -1,13 +1,15 @@
 //! Bit-exact checkpoint/restore protocol for the simulator.
 //!
 //! Every stateful component of the simulation pipeline — core runtimes,
-//! the DMA arbiter, NoC queues, DRAM channels and their fast-forward
-//! caches, the MMU, the scheduler — serializes its *mutable* state through
-//! this crate's [`Writer`]/[`Reader`] codec into a [`SimSnapshot`].
-//! Structural state (anything derivable from the configuration and the
-//! workload traces) is deliberately *not* serialized: a snapshot is
-//! restored **into** a freshly built simulation, and fingerprints of the
-//! configuration and traces guard against restoring into the wrong shape.
+//! the DMA arbiter, NoC queues, DRAM channels, the MMU, the scheduler —
+//! serializes its *mutable* state through this crate's
+//! [`Writer`]/[`Reader`] codec into a [`SimSnapshot`]. Structural state
+//! (anything derivable from the configuration and the workload traces) is
+//! deliberately *not* serialized: a snapshot is restored **into** a
+//! freshly built simulation, and fingerprints of the configuration and
+//! traces guard against restoring into the wrong shape. Neither are memos
+//! the event loop rebuilds: restore resets them, so equal states give
+//! equal bytes whatever queries preceded the snapshot.
 //!
 //! The contract is exactness: a simulation snapshotted at cycle *k* and
 //! restored into a fresh instance must continue bit-identically to one
@@ -24,8 +26,7 @@
 //! reader it is decoded with ([`json`]) are shared with every other
 //! checkpoint wrapper and wire format in the workspace.
 //!
-//! The header is versioned the same way the bench run cache is
-//! (`#mnpu-run-cache v5`): a snapshot whose [`SNAPSHOT_VERSION`] does not
+//! The header is versioned: a snapshot whose [`SNAPSHOT_VERSION`] does not
 //! match the binary that reads it fails loudly with
 //! [`SnapError::VersionMismatch`] instead of silently misdecoding.
 
@@ -39,7 +40,7 @@ use std::fmt;
 
 /// Current snapshot format version. Bump on any change to the payload
 /// layout of *any* component; old snapshots are then rejected loudly.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Magic bytes opening the binary framing.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MNPS";

@@ -14,8 +14,8 @@
 //!   its 2^16-cycle poll boundary (cycles simulated, lifecycle phase,
 //!   stall attribution, traffic counters, a sim-cycles/sec rate);
 //! * process-global [`counters`] for simulator internals the daemon's
-//!   `/metrics` endpoint cannot otherwise see (run-cache hits,
-//!   prefix-shared simulations, fast-forward commits).
+//!   `/metrics` endpoint cannot otherwise see (prefix-shared
+//!   simulations, fast-forward commits).
 //!
 //! The engine feeds a handle through [`FlightProbe`], which splits the
 //! probe taxonomy by frequency — dense events become counters, structural
